@@ -15,16 +15,27 @@ s*(k-1)+1) make every pair of strings vacuously equal at depth k; those
 lengths are excluded from the scan and listed in the report notes instead of
 being reported as collisions.
 
-The per-string dynamic program is the same recurrence the deck engine uses,
-vectorised over chunks of strings with numpy: accumulator matrix of shape
-(batch, patterns+1), a ring of s snapshots for the gap constraint, and the
-two bit values applied as masked rank-1 updates.
+The hashing runs the deck engine's recurrence over the prefix tree of a code
+range instead of once per string. Level i holds the DP state (pattern counts
+plus the pinned empty-prefix column) of every length-i prefix in code order;
+level i+1 repeats each row twice, and the rows ending in bit b add the
+prefix-count columns of their ancestor at level max(0, i+1-s), which enforces
+the gap. Each prefix is thus extended once, so the cost is about 2^(n+1) row
+updates rather than n per string. A code range is an aligned block with fixed
+top bits: its path is built once, then leaf chunks of at most 2^16 rows are
+expanded separately, keeping only the last s+1 levels. EQ7_STAR needs two
+trees: the R puncture (drop the last bit) is the parent level of the plain
+tree, and the L puncture (drop the first bit) is a tree over the code mod
+2^(n-1), whose parent level is the LR puncture. Hash lanes are linear in the
+counts, so the four punctures' lanes are summed.
 """
 from __future__ import annotations
 
 import logging
 import multiprocessing
 import os
+import time
+import zipfile
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +64,7 @@ DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)
 
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
-_CHUNK = 1 << 16
+_LEAF_BITS = 16  # leaf chunks of at most 2^16 rows bound the working set
 _UINT64_LIMIT = 1 << 64
 
 
@@ -93,61 +104,102 @@ def _hash_lanes(width: int) -> np.ndarray:
     return rng.integers(1, 2**63, size=(2, width), dtype=np.uint64) | np.uint64(1)
 
 
-def _bits_of_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) 0/1 matrix, most significant bit first (code order = lex order)."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    return ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint64)
+def _extend(levels: list, s: int, tables) -> np.ndarray:
+    """Level i+1 of the prefix tree from levels[0..i]: every prefix + each bit.
+
+    Row r of level i+1 extends row r >> 1 of level i by bit r & 1, and its
+    gap-ready state is the ancestor at level max(0, i+1-s), which is row
+    r >> (i+1-j) there; reshaping each half to (rows_j, rows_i/rows_j, ...)
+    lines every row up with that ancestor by broadcasting.
+    """
+    i = len(levels) - 1
+    ready = levels[max(0, i + 1 - s)]
+    rows_j, width = ready.shape
+    nxt = np.repeat(levels[i], 2, axis=0).reshape(rows_j, -1, 2, width)
+    for b, (dst, src) in enumerate(tables):
+        nxt[:, :, b, dst] += ready[:, None, src]
+    return nxt.reshape(-1, width)
 
 
-def _dp_counts(bits: np.ndarray, s: int, k: int) -> np.ndarray:
-    """Batch signature counts, shape (B, pattern_count(k)), uint64 wraparound."""
-    B, n = bits.shape
+def _grow(levels: list, stop: int, s: int, tables) -> None:
+    """Extend levels through level stop, dropping levels no later step reads."""
+    while len(levels) <= stop:
+        levels.append(_extend(levels, s, tables))
+        stale = len(levels) - 2 - s
+        if stale > 0:
+            levels[stale] = None
+
+
+def _prefix_tree(n: int, s: int, k: int, lo: int, hi: int):
+    """Yield (offset, leaf, parent) for the DP states of codes lo..hi-1.
+
+    leaf holds the states (counts plus the pinned empty-prefix column) of the
+    codes lo+offset.. at length n, parent those of their length-(n-1)
+    prefixes. [lo, hi) must be an aligned power-of-two block: a subtree with
+    fixed top bits, whose path is built once; below it, leaf chunks of at most
+    2^_LEAF_BITS rows are expanded one at a time.
+    """
+    size = hi - lo
+    if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
+        raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
+    t = n - (size.bit_length() - 1)
     P = pattern_count(k)
     d0, s0, d1, s1 = _extension_tables(k)
-    acc = np.zeros((B, P + 1), dtype=np.uint64)
-    acc[:, P] = 1
-    ring = [acc.copy() for _ in range(s)]
-    for i in range(n):
-        ready = ring[i % s]
-        b = bits[:, i : i + 1]
-        acc[:, d1] += ready[:, s1] * b
-        acc[:, d0] += ready[:, s0] * (np.uint64(1) - b)
-        ring[i % s] = acc.copy()
-    return acc[:, :P]
+    tables = ((d0, s0), (d1, s1))
+    root = np.zeros((1, P + 1), dtype=np.uint64)
+    root[0, P] = 1
+    levels = [root]
+    for i in range(t):
+        bit = (lo >> (n - 1 - i)) & 1
+        levels.append(_extend(levels, s, tables)[bit : bit + 1])
+    c = max(t, n - _LEAF_BITS)
+    _grow(levels, c, s, tables)
+    for q in range(1 << (c - t)):
+        chunk = [
+            None if lvl is None else lvl[q >> (c - j) : (q >> (c - j)) + 1]
+            for j, lvl in enumerate(levels)
+        ]
+        _grow(chunk, n, s, tables)
+        yield q << (n - c), chunk[n], chunk[n - 1]
+
+
+def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
+    """(hi-lo, 2) lanes: counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes]."""
+    P = pattern_count(k)
+    h = np.empty((hi - lo, 2), dtype=np.uint64)
+    for off, leaf, parent in _prefix_tree(n, s, k, lo, hi):
+        part = leaf[:, :P] @ leaf_lanes
+        if parent_lanes is not None:
+            part += np.repeat(parent[:, :P] @ parent_lanes, len(leaf) // len(parent), axis=0)
+        h[off : off + len(leaf)] = part
+    return h
 
 
 def _lane_hashes(n: int, s: int, k: int, deck_kind: str, lo: int, hi: int):
-    """Hash lanes (h1, h2) for codes lo..hi-1 at length n."""
+    """Hash lanes (h1, h2) for codes lo..hi-1 at length n.
+
+    Each lane is the wrapping uint64 dot product of the deck kind's counts
+    with a fixed row of odd multipliers; EQ7_STAR concatenates the plain, L,
+    R and LR punctured counts, EXACT_D keeps only the depth-k slice.
+    """
     P = pattern_count(k)
-    width = 4 * P if deck_kind == EQ7_STAR else (1 << k) if deck_kind == EXACT_D else P
-    lanes = _hash_lanes(width)
-    h1 = np.empty(hi - lo, dtype=np.uint64)
-    h2 = np.empty(hi - lo, dtype=np.uint64)
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        codes = np.arange(start, stop, dtype=np.uint64)
-        bits = _bits_of_codes(codes, n)
-        if deck_kind == EQ7_STAR:
-            counts = np.concatenate(
-                [
-                    _dp_counts(bits, s, k),
-                    _dp_counts(bits[:, 1:], s, k),
-                    _dp_counts(bits[:, :-1], s, k),
-                    _dp_counts(bits[:, 1:-1], s, k),
-                ],
-                axis=1,
-            )
-        elif deck_kind == EXACT_D:
-            counts = _dp_counts(bits, s, k)[:, (1 << k) - 2 :]
-        else:
-            counts = _dp_counts(bits, s, k)
-        h1[start - lo : stop - lo] = (counts * lanes[0][None, :]).sum(
-            axis=1, dtype=np.uint64
+    if deck_kind == EQ7_STAR:
+        plain, left, right, both = np.split(_hash_lanes(4 * P).T, 4)
+        h = _tree_hashes(n, s, k, lo, hi, plain, right)
+        # x[1:] is code mod 2^(n-1): one subtree, or the whole tree twice
+        half = 1 << (n - 1)
+        size = min(hi - lo, half)
+        h += np.tile(
+            _tree_hashes(n - 1, s, k, lo % half, lo % half + size, left, both),
+            ((hi - lo) // size, 1),
         )
-        h2[start - lo : stop - lo] = (counts * lanes[1][None, :]).sum(
-            axis=1, dtype=np.uint64
-        )
-    return h1, h2
+    elif deck_kind == EXACT_D:
+        lanes = np.zeros((P, 2), dtype=np.uint64)
+        lanes[(1 << k) - 2 :] = _hash_lanes(1 << k).T
+        h = _tree_hashes(n, s, k, lo, hi, lanes)
+    else:
+        h = _tree_hashes(n, s, k, lo, hi, _hash_lanes(P).T)
+    return h[:, 0].copy(), h[:, 1].copy()
 
 
 def _hash_range(args):
@@ -193,6 +245,28 @@ def _load_done(checkpoint: Optional[str]) -> set:
     return done
 
 
+def _load_sidecar(sidecar: str, size: int):
+    """The (h1, h2) lanes a sidecar holds for a range of `size` codes, or None
+    when the file is missing, unreadable or holds lanes of another length."""
+    try:
+        with open(sidecar, "rb") as fh, np.load(fh) as data:
+            lanes = data["h1"], data["h2"]
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+    if any(h.shape != (size,) or h.dtype != np.uint64 for h in lanes):
+        return None
+    return lanes
+
+
+def _save_sidecar(sidecar: str, h1: np.ndarray, h2: np.ndarray) -> None:
+    """Write the lanes to a temporary file, then rename it over the sidecar,
+    so a reader never sees a half-written one."""
+    tmp = sidecar + ".tmp"
+    with open(tmp, "wb") as fh:  # a handle: np.savez appends .npz to a bare name
+        np.savez(fh, h1=h1, h2=h2)
+    os.replace(tmp, sidecar)
+
+
 def find_collision(
     n: int,
     params: GapParams,
@@ -206,7 +280,12 @@ def find_collision(
 
     Enumerates all 2^n strings. `checkpoint`, if given, is a directory: an
     append-only text log records each finished code range and the per-range
-    hash lanes are kept in .npz sidecars, so an interrupted run resumes.
+    hash lanes are kept in .npz sidecars, so an interrupted run resumes; a
+    sidecar that cannot be read or holds lanes of the wrong length is ignored
+    and its range recomputed. One INFO line reports the strings hashed, the
+    ranges computed and loaded, the hash-coincident groups, the hash false
+    positives (groups that split under exact confirmation) and the seconds
+    spent hashing, sorting and confirming.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -230,17 +309,19 @@ def find_collision(
     h1 = np.empty(total, dtype=np.uint64)
     h2 = np.empty(total, dtype=np.uint64)
 
+    t_hash = time.perf_counter()
     done = _load_done(checkpoint)
     pending = []
     for lo, hi in ranges:
         if checkpoint is not None:
             logfile, sidecar = _checkpoint_paths(checkpoint, n, params.s, params.k, deck_kind, lo, hi)
             key = (deck_kind, str(params.s), str(params.k), str(n), f"{lo}:{hi}")
-            if key in done and os.path.exists(sidecar):
-                data = np.load(sidecar)
-                h1[lo:hi] = data["h1"]
-                h2[lo:hi] = data["h2"]
-                continue
+            if key in done:
+                lanes = _load_sidecar(sidecar, hi - lo)
+                if lanes is not None:
+                    h1[lo:hi], h2[lo:hi] = lanes
+                    continue
+                log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
         pending.append((n, params.s, params.k, deck_kind, lo, hi))
 
     def store(lo, hi, r1, r2):
@@ -248,7 +329,7 @@ def find_collision(
         h2[lo:hi] = r2
         if checkpoint is not None:
             logfile, sidecar = _checkpoint_paths(checkpoint, n, params.s, params.k, deck_kind, lo, hi)
-            np.savez(sidecar, h1=r1, h2=r2)
+            _save_sidecar(sidecar, r1, r2)
             with open(logfile, "a") as fh:
                 fh.write(f"{deck_kind} {params.s} {params.k} {n} {lo}:{hi} done\n")
         log.debug("hashed range %d:%d of 2^%d", lo, hi, n)
@@ -265,6 +346,7 @@ def find_collision(
             for lo, hi, r1, r2 in pool.imap(_hash_range, pending):
                 store(lo, hi, r1, r2)
 
+    t_sort = time.perf_counter()
     order = np.lexsort((h2, h1))
     sh1, sh2 = h1[order], h2[order]
     boundary = np.empty(total, dtype=bool)
@@ -278,12 +360,14 @@ def find_collision(
         if b - a >= 2:
             groups.append(np.sort(order[a:b]))
     groups.sort(key=lambda g: int(g[0]))
-    log.debug("n=%d: %d hash-coincident groups", n, len(groups))
 
+    t_confirm = time.perf_counter()
     best = None
+    confirmed = split = 0
     for g in groups:
         if best is not None and int(g[0]) > best[0]:
             break
+        confirmed += 1
         seen: dict = {}
         for code in g:
             code = int(code)
@@ -295,6 +379,16 @@ def find_collision(
                 cand = (members[0], members[1])
                 if best is None or cand < best:
                     best = cand
+        split += len(seen) > 1
+    t_end = time.perf_counter()
+    log.info(
+        "n=%d %s s=%d k=%d: %d strings hashed, ranges %d computed / %d loaded, "
+        "%d hash-coincident groups (%d confirmed, %d hash false positives); "
+        "hash %.3f s, sort %.3f s, confirm %.3f s",
+        n, deck_kind, params.s, params.k, sum(hi - lo for *_, lo, hi in pending),
+        len(pending), len(ranges) - len(pending), len(groups), confirmed, split,
+        t_sort - t_hash, t_confirm - t_sort, t_end - t_confirm,
+    )
     if best is None:
         return None
     return _code_to_string(best[0], n), _code_to_string(best[1], n)

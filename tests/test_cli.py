@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gapdeck
 from gapdeck.cli import main
 
 
@@ -71,6 +75,21 @@ def test_search_json_and_worker_independence(capsys):
     assert out1 == out8
     rec = json.loads(out1)
     assert rec["result"]["n"] == 6
+
+
+def test_verbose_search_telemetry_stays_off_stdout():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapdeck.__file__)))
+    argv = [sys.executable, "-m", "gapdeck.cli", "search", "G", "--s", "2", "--k", "2",
+            "--n-max", "8", "--json"]
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    loud = subprocess.run(argv + ["-v"], env=env, capture_output=True, text=True, timeout=60)
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stdout == loud.stdout
+    assert json.loads(loud.stdout)["result"]["n"] == 6
+    assert quiet.stderr == ""
+    assert ("INFO gapdeck.search: n=6 FULL_B s=2 k=2: 64 strings hashed, "
+            "ranges 1 computed / 0 loaded, 3 hash-coincident groups "
+            "(1 confirmed, 0 hash false positives); hash ") in loud.stderr
 
 
 def test_search_not_found_exits_one(capsys):

@@ -1,21 +1,29 @@
 import itertools
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapdeck.deck import ExactOverflowError, GapParams, deck_equal
+from gapdeck.deck import ExactOverflowError, GapParams, deck_equal, signature
 from gapdeck.oracle import find_collision_naive
 from gapdeck.search import (
+    DECK_KINDS,
     EQ7_STAR,
     EXACT_D,
     FULL_B,
     CollisionReport,
+    _hash_lanes,
+    _lane_hashes,
     find_collision,
     search_G,
     search_G_star,
     search_SU,
     search_exact_D,
 )
+from gapdeck.strings import Puncture, puncture
 
 
 def test_find_collision_literal_examples():
@@ -120,6 +128,76 @@ def test_checkpoint_resume(tmp_path):
     second = find_collision(6, GapParams(2, 2), FULL_B, checkpoint=ckpt)
     assert first == second
     assert logfile.read_text().strip().splitlines() == entries
+
+
+@pytest.mark.parametrize("damage", ["short lanes", "cut file"])
+def test_checkpoint_rejects_damaged_sidecar(tmp_path, damage):
+    ckpt = str(tmp_path)
+    expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
+    (sidecar,) = tmp_path.glob("*.npz")
+    if damage == "short lanes":
+        with np.load(sidecar) as data:
+            h1, h2 = data["h1"], data["h2"]
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, h1=h1[:-1], h2=h2[:-1])
+    else:
+        sidecar.write_bytes(sidecar.read_bytes()[:100])
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
+    # the range was recomputed and its sidecar rewritten whole, with no temp file left
+    assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, "search.log"]
+    with np.load(sidecar) as data:
+        assert data["h1"].shape == data["h2"].shape == (256,)
+
+
+def _reference_lanes(code, n, s, k, deck_kind):
+    """Both hash lanes of one string from its deck signatures, in Python ints."""
+    x = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+    params = GapParams(s, k)
+    if deck_kind == EQ7_STAR:
+        counts = [
+            c
+            for spec in (Puncture.NONE, Puncture.L, Puncture.R, Puncture.LR)
+            for c in signature(puncture(x, spec), params).counts
+        ]
+    elif deck_kind == EXACT_D:
+        counts = signature(x, params).length_slice(k)
+    else:
+        counts = signature(x, params).counts
+    lanes = _hash_lanes(len(counts))
+    return tuple(sum(int(a) * c for a, c in zip(row, counts)) % 2**64 for row in lanes)
+
+
+@st.composite
+def _blocks(draw):
+    deck_kind = draw(st.sampled_from(DECK_KINDS))
+    n = draw(st.integers(2 if deck_kind == EQ7_STAR else 1, 12))
+    m = draw(st.integers(0, min(n, 8)))
+    lo = draw(st.integers(0, (1 << (n - m)) - 1)) << m
+    return draw(st.integers(1, 4)), draw(st.integers(1, 4)), deck_kind, n, lo, lo + (1 << m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocks())
+def test_lane_hashes_match_signatures(block):
+    s, k, deck_kind, n, lo, hi = block
+    h1, h2 = _lane_hashes(n, s, k, deck_kind, lo, hi)
+    got = [(int(a), int(b)) for a, b in zip(h1, h2)]
+    assert got == [_reference_lanes(c, n, s, k, deck_kind) for c in range(lo, hi)]
+
+
+@pytest.mark.parametrize("deck_kind", DECK_KINDS)
+def test_lane_hashes_across_leaf_chunks(deck_kind):
+    n, s, k = 18, 2, 3  # 2^18 rows: four leaf chunks
+    h1, h2 = _lane_hashes(n, s, k, deck_kind, 0, 1 << n)
+    for code in random.Random(18).sample(range(1 << n), 200):
+        assert (int(h1[code]), int(h2[code])) == _reference_lanes(code, n, s, k, deck_kind)
+
+
+def test_lane_hashes_need_an_aligned_block():
+    for lo, hi in ((0, 3), (2, 6), (4, 12), (0, 32)):
+        with pytest.raises(ValueError):
+            _lane_hashes(4, 2, 2, FULL_B, lo, hi)
 
 
 def test_search_SU_values():
