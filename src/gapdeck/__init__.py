@@ -57,7 +57,6 @@ from gapdeck.strings import (
     Puncture,
     complement,
     format_binary,
-    format_wildcard,
     parse_binary,
     parse_wildcard,
     puncture,
@@ -107,7 +106,6 @@ __all__ = [
     "find_collision",
     "fingerprint",
     "format_binary",
-    "format_wildcard",
     "kappa",
     "lemma3_check",
     "pad_zero",

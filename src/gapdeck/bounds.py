@@ -99,33 +99,19 @@ def dudik_su_bound(k1: int, k2: int) -> int:
     return math.floor(kap * (lg + math.log2(lg) + 1.0))
 
 
-def corollary_rec_bound(K: int, exhaustive: bool = False) -> int:
+def corollary_rec_bound(K: int) -> int:
     """Recursive bound: base 4(2^K - 1) for K <= 4, else min of base and
     (corollary_rec_bound(k) + 2) * dudik_su_bound(2k+sigma, k+sigma) with
-    k = floor(K/3), sigma = K mod 3.
-
-    The decomposition K = 3k + sigma with sigma in {0,1,2} is unique, so
-    exhaustive=True scans the same single candidate; the flag exists to make
-    that explicit.
+    k = floor(K/3), sigma = K mod 3 (the unique decomposition K = 3k + sigma
+    with sigma in {0,1,2}).
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     base = 4 * (2**K - 1)
     if K <= 4:
         return base
-    if exhaustive:
-        ks = [((K - sig) // 3, sig) for sig in (0, 1, 2) if (K - sig) % 3 == 0]
-    else:
-        ks = [(K // 3, K % 3)]
-    best = base
-    for k, sigma in ks:
-        if k < 1 or k + sigma < 2:
-            continue
-        rec = (corollary_rec_bound(k, exhaustive) + 2) * dudik_su_bound(
-            2 * k + sigma, k + sigma
-        )
-        best = min(best, rec)
-    return best
+    k, sigma = K // 3, K % 3
+    return min(base, (corollary_rec_bound(k) + 2) * dudik_su_bound(2 * k + sigma, k + sigma))
 
 
 def closed_form_bound(k: int) -> int:

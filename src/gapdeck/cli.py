@@ -300,7 +300,7 @@ def _single_bound(args) -> bounds_mod.BoundReport:
             k1=args.k1, k2=args.k2)
     if f == "corollary":
         return bounds_mod.BoundReport(
-            value=bounds_mod.corollary_rec_bound(args.k, args.exhaustive),
+            value=bounds_mod.corollary_rec_bound(args.k),
             formula_id=bounds_mod.COROLLARY_REC, k=args.k)
     if f == "closed-form":
         return bounds_mod.BoundReport(
@@ -441,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--k1", type=int)
     p.add_argument("--k2", type=int)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="corollary: scan all depth decompositions")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oracle", parents=[common],

@@ -8,15 +8,23 @@ length then lexicographically. Signatures come in EXACT mode (integer counts,
 refused a priori when counts could exceed 64 bits) and FINGERPRINT mode
 (counts reduced modulo a fixed list of large primes).
 
-Counting works by a single left-to-right pass: when position i (bit b) is
-consumed, every pattern ending in b absorbs the count of its length-(l-1)
-prefix as of position i-s (an s-deep lag buffer of accumulator snapshots
-enforces the gap), and the length-1 pattern (b) absorbs 1.
+Counting is one recurrence over the columns of a pattern trie (_trie_tables):
+the nonempty prefixes of the patterns plus the empty prefix, pinned at 1.
+When position i (letter c) is consumed, every column ending in c (or in the
+wildcard J) absorbs the count of its parent prefix as of position i-s, which
+enforces the gap. _run_pass runs it over one string in a single uint64 row:
+exact counts, or, in FINGERPRINT mode, one copy of the columns per prime,
+each reduced by its own prime. The same tables drive the prefix-tree kernel
+of gapdeck.search and its wildcard-family search. Exact counting has one
+overflow guard, _check_exact: the gap-aware bound C(n-(l-1)(s-1), l) on any
+count of length l <= k must stay below 2^64.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import comb
 from typing import NamedTuple
 
@@ -25,7 +33,7 @@ import numpy as np
 from gapdeck.strings import Puncture, puncture
 
 # The three largest primes below 2^62; two residues always sum below 2^63,
-# so modular accumulation is safe in int64.
+# so modular accumulation cannot wrap in uint64.
 DEFAULT_FINGERPRINT_PRIMES = (
     4611686018427387847,
     4611686018427387817,
@@ -33,7 +41,6 @@ DEFAULT_FINGERPRINT_PRIMES = (
 )
 
 _UINT64_LIMIT = 1 << 64
-_INT64_SAFE = 1 << 63
 
 
 class GapParams(NamedTuple):
@@ -71,11 +78,7 @@ def pattern_index(w: tuple) -> int:
 
 def patterns_upto(k: int) -> list:
     """All nonempty binary patterns of length <= k in canonical order."""
-    out = []
-    for ell in range(1, k + 1):
-        for v in range(1 << ell):
-            out.append(tuple((v >> (ell - 1 - j)) & 1 for j in range(ell)))
-    return out
+    return [w for ell in range(1, k + 1) for w in product((0, 1), repeat=ell)]
 
 
 def slice_bound(n: int, s: int, ell: int) -> int:
@@ -84,26 +87,83 @@ def slice_bound(n: int, s: int, ell: int) -> int:
     return comb(top, ell) if top >= ell else 0
 
 
-def _extension_tables(k: int):
-    """Index arrays for the DP: per last-bit b, destination patterns and prefixes.
+def _trie_tables(patterns, alphabet=(0, 1)):
+    """Update tables of the counting recurrence for any pattern list.
 
-    Prefix index P (one past the real patterns) stands for the empty prefix,
-    whose running count is pinned at 1.
+    The columns are the distinct nonempty prefixes of the patterns in (length,
+    lex) order, then one column for the empty prefix, whose count is pinned at
+    1. On letter alphabet[c], every column whose last symbol is that letter or
+    the wildcard "J" absorbs the gap-ready count of its prefix column. Returns
+    the (dst, src) index arrays per letter and the {prefix: column} map.
     """
-    P = pattern_count(k)
-    dst = {0: [], 1: []}
-    src = {0: [], 1: []}
-    for ell in range(1, k + 1):
-        for v in range(1 << ell):
-            b = v & 1
-            dst[b].append((1 << ell) - 2 + v)
-            src[b].append(((1 << (ell - 1)) - 2 + (v >> 1)) if ell > 1 else P)
-    return (
-        np.asarray(dst[0], dtype=np.intp),
-        np.asarray(src[0], dtype=np.intp),
-        np.asarray(dst[1], dtype=np.intp),
-        np.asarray(src[1], dtype=np.intp),
-    )
+    seen = {}  # insertion-ordered, so a sorted prefix-closed list sorts in one pass
+    for w in patterns:
+        while w and w not in seen:  # w and its prefixes, up to the first one seen
+            seen[w] = None
+            w = w[:-1]
+    prefixes = sorted(seen, key=lambda p: (len(p), p))
+    cols = {p: i for i, p in enumerate(prefixes)}
+    parent = np.asarray([cols.get(p[:-1], len(prefixes)) for p in prefixes], dtype=np.intp)
+    tables = []
+    for c in alphabet:
+        dst = [i for i, p in enumerate(prefixes) if p[-1] == c or p[-1] == "J"]
+        dst = np.asarray(dst, dtype=np.intp)
+        tables.append((dst, parent[dst]))
+    return tables, cols
+
+
+@lru_cache(maxsize=None)
+def _deck_tables(k: int) -> list:
+    """Trie tables of every binary pattern of length <= k: the columns are the
+    patterns in canonical order, then the empty prefix."""
+    return _trie_tables(patterns_upto(k))[0]
+
+
+def _check_exact(n: int, s: int, k: int) -> None:
+    """The overflow guard of exact counting.
+
+    A pattern of length ell occurs at most C(n - (ell-1)(s-1), ell) times in a
+    string of length n (the all-ones string reaches it), and every partial
+    count of the recurrence is such a count, so uint64 arithmetic is exact
+    unless this bound reaches 2^64 for some ell <= k.
+    """
+    if max(slice_bound(n, s, ell) for ell in range(1, k + 1)) >= _UINT64_LIMIT:
+        raise ExactOverflowError(
+            f"counts for n={n}, s={s}, k={k} may exceed 64 bits; use fingerprint mode"
+        )
+
+
+def _run_pass(x, s: int, tables, width: int, mods=None) -> np.ndarray:
+    """Counts of every trie column after one left-to-right pass over x.
+
+    x holds letter indices into tables. The state is one uint64 row of width
+    cells, the last being the pinned empty prefix; the letter at position i
+    adds the state as of position i-s, kept in an s-deep ring of snapshots.
+    Without mods the counts are exact (callers run _check_exact first). With
+    mods the row holds one copy of the columns per modulus, each reduced by
+    its own modulus (residues below 2^63, so sums of two cannot wrap), and the
+    result has one row per modulus.
+    """
+    rows = 1 if mods is None else len(mods)
+    shift = np.arange(rows)[:, None] * width
+    steps = [
+        (
+            (dst + shift).ravel(),
+            (src + shift).ravel(),
+            None if mods is None else np.repeat(np.asarray(mods, dtype=np.uint64), len(dst)),
+        )
+        for dst, src in tables
+    ]
+    acc = np.zeros((rows, width), dtype=np.uint64)
+    acc[:, -1] = 1
+    acc = acc.ravel()
+    ring = deque([acc.copy()] * s, maxlen=s)
+    for c in x:
+        dst, src, mod = steps[c]
+        v = acc[dst] + ring[0][src]
+        acc[dst] = v if mod is None else v % mod
+        ring.append(acc.copy())
+    return acc.reshape(rows, width)
 
 
 @dataclass(frozen=True)
@@ -144,90 +204,17 @@ class DeckSignature:
 def count_gapped(w: tuple, x: tuple, s: int) -> int:
     """Occurrences of pattern w in x with successive indices >= s apart.
 
-    Prefix-sum dynamic program, O(|x|*|w|); exact integer arithmetic.
+    One exact pass of the recurrence over the prefixes of w; raises
+    ExactOverflowError when the count could reach 2^64.
     """
     if len(w) == 0:
         raise ValueError("empty patterns are excluded from decks")
     if s < 1:
         raise ValueError(f"gap s must be >= 1, got {s}")
-    L = len(w)
-    total = [1] + [0] * L  # total[j] = matches of w[:j] seen so far; [0] is the empty prefix
-    init = tuple(total)
-    ring: deque = deque()  # snapshots of total after each of the last s positions
-    for b in x:
-        ready = ring[0] if len(ring) == s else init
-        for j in range(L, 0, -1):
-            if w[j - 1] == b:
-                total[j] += ready[j - 1]
-        ring.append(tuple(total))
-        if len(ring) > s:
-            ring.popleft()
-    return total[L]
-
-
-def _exact_refusal_bound(n: int, k: int) -> int:
-    """A-priori per-count bound used for the EXACT-mode 64-bit refusal check."""
-    return max(comb(n, ell) for ell in range(1, k + 1))
-
-
-def _run_pass_int(x: tuple, s: int, k: int) -> list:
-    """Python-int DP pass (unbounded precision). Returns the raw count list."""
-    P = pattern_count(k)
-    d0, s0, d1, s1 = _extension_tables(k)
-    tables = ((d0.tolist(), s0.tolist()), (d1.tolist(), s1.tolist()))
-    acc = [0] * P + [1]  # sentinel: empty prefix count
-    zeros = tuple(acc)
-    ring: deque = deque()
-    for b in x:
-        ready = ring[0] if len(ring) == s else zeros
-        dst, src = tables[b]
-        for g, pg in zip(dst, src):
-            acc[g] += ready[pg]
-        ring.append(tuple(acc))
-        if len(ring) > s:
-            ring.popleft()
-    return acc[:P]
-
-
-def _run_pass_int64(x: tuple, s: int, k: int) -> np.ndarray:
-    """Vectorized DP pass; only valid when every count fits in int64."""
-    P = pattern_count(k)
-    d0, s0, d1, s1 = _extension_tables(k)
-    tables = ((d0, s0), (d1, s1))
-    acc = np.zeros(P + 1, dtype=np.int64)
-    acc[P] = 1
-    zeros = acc.copy()
-    ring: deque = deque()
-    for b in x:
-        ready = ring[0] if len(ring) == s else zeros
-        dst, src = tables[b]
-        acc[dst] += ready[src]
-        ring.append(acc.copy())
-        if len(ring) > s:
-            ring.popleft()
-    return acc[:P]
-
-
-def _run_pass_mod(x: tuple, s: int, k: int, primes: tuple) -> np.ndarray:
-    """Vectorized DP pass with counts reduced modulo each prime (rows)."""
-    P = pattern_count(k)
-    d0, s0, d1, s1 = _extension_tables(k)
-    tables = ((d0, s0), (d1, s1))
-    m = len(primes)
-    mods = np.asarray(primes, dtype=np.int64).reshape(m, 1)
-    acc = np.zeros((m, P + 1), dtype=np.int64)
-    acc[:, P] = 1
-    zeros = acc.copy()
-    ring: deque = deque()
-    for b in x:
-        ready = ring[0] if len(ring) == s else zeros
-        dst, src = tables[b]
-        acc[:, dst] += ready[:, src]
-        acc %= mods
-        ring.append(acc.copy())
-        if len(ring) > s:
-            ring.popleft()
-    return acc[:, :P]
+    w = tuple(w)
+    _check_exact(len(x), s, len(w))
+    tables, cols = _trie_tables([w])
+    return int(_run_pass(x, s, tables, len(cols) + 1)[0, cols[w]])
 
 
 def signature(
@@ -238,27 +225,24 @@ def signature(
 ) -> DeckSignature:
     """Full deck signature of x under (s, k), in EXACT or FINGERPRINT mode.
 
-    EXACT mode is refused with ExactOverflowError when the a-priori count
-    bound C(n, ell) reaches 2^64 for some ell <= k; callers should then
-    switch to FINGERPRINT mode.
+    EXACT mode is refused with ExactOverflowError when some count could
+    reach 2^64 (see _check_exact); callers should then switch to FINGERPRINT
+    mode.
     """
     s, k = _check_params(params)
     n = len(x)
+    P = pattern_count(k)
     if mode == "exact":
-        if _exact_refusal_bound(n, k) >= _UINT64_LIMIT:
-            raise ExactOverflowError(
-                f"counts for n={n}, k={k} may exceed 64 bits; use fingerprint mode"
-            )
-        if max(slice_bound(n, s, ell) for ell in range(1, k + 1)) < _INT64_SAFE:
-            counts = tuple(int(c) for c in _run_pass_int64(x, s, k))
-        else:
-            counts = tuple(_run_pass_int(x, s, k))
+        _check_exact(n, s, k)
+        counts = tuple(_run_pass(x, s, _deck_tables(k), P + 1)[0, :P].tolist())
         return DeckSignature(GapParams(s, k), "exact", n, counts)
     if mode == "fingerprint":
         if not primes:
             raise ValueError("fingerprint mode needs at least one prime")
-        res = _run_pass_mod(x, s, k, tuple(primes))
-        counts = tuple(tuple(int(r) for r in res[:, g]) for g in range(res.shape[1]))
+        if not all(1 < p < 1 << 63 for p in primes):  # sums of two residues fit uint64
+            raise ValueError("fingerprint moduli must lie in (1, 2^63)")
+        res = _run_pass(x, s, _deck_tables(k), P + 1, tuple(primes))
+        counts = tuple(zip(*res[:, :P].tolist()))
         return DeckSignature(GapParams(s, k), "fingerprint", n, counts, tuple(primes))
     raise ValueError(f"unknown signature mode {mode!r}")
 

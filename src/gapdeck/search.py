@@ -27,7 +27,9 @@ expanded separately, keeping only the last s+1 levels. EQ7_STAR needs two
 trees: the R puncture (drop the last bit) is the parent level of the plain
 tree, and the L puncture (drop the first bit) is a tree over the code mod
 2^(n-1), whose parent level is the LR puncture. Hash lanes are linear in the
-counts, so the four punctures' lanes are summed.
+counts, so the four punctures' lanes are summed. The tree runs on the deck
+engine's trie tables, so search_SU reuses it: over {X, Y} with gap 1 and the
+trie of a wildcard family, whose J columns update on both letters.
 """
 from __future__ import annotations
 
@@ -43,12 +45,12 @@ import numpy as np
 
 from gapdeck.deck import (
     DEFAULT_FINGERPRINT_PRIMES,
-    ExactOverflowError,
     GapParams,
-    _extension_tables,
+    _check_exact,
+    _deck_tables,
+    _trie_tables,
     pattern_count,
     signature,
-    slice_bound,
 )
 from gapdeck.strings import Puncture, puncture
 from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U
@@ -65,7 +67,6 @@ DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # leaf chunks of at most 2^16 rows bound the working set
-_UINT64_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,14 @@ def _extend(levels: list, s: int, tables) -> np.ndarray:
     return nxt.reshape(-1, width)
 
 
+def _root(width: int) -> np.ndarray:
+    """Level 0 of a prefix tree: the empty string, whose only nonzero count
+    is the pinned empty-prefix column."""
+    root = np.zeros((1, width), dtype=np.uint64)
+    root[0, -1] = 1
+    return root
+
+
 def _grow(levels: list, stop: int, s: int, tables) -> None:
     """Extend levels through level stop, dropping levels no later step reads."""
     while len(levels) <= stop:
@@ -143,12 +152,8 @@ def _prefix_tree(n: int, s: int, k: int, lo: int, hi: int):
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
     t = n - (size.bit_length() - 1)
-    P = pattern_count(k)
-    d0, s0, d1, s1 = _extension_tables(k)
-    tables = ((d0, s0), (d1, s1))
-    root = np.zeros((1, P + 1), dtype=np.uint64)
-    root[0, P] = 1
-    levels = [root]
+    tables = _deck_tables(k)
+    levels = [_root(pattern_count(k) + 1)]
     for i in range(t):
         bit = (lo >> (n - 1 - i)) & 1
         levels.append(_extend(levels, s, tables)[bit : bit + 1])
@@ -294,12 +299,7 @@ def find_collision(
     if deck_kind == EQ7_STAR and n < 2:
         raise ValueError("EQ7_STAR needs n >= 2 (both-sides puncture)")
     if mode == "exact":
-        worst = max(slice_bound(n, params.s, ell) for ell in range(1, params.k + 1))
-        if worst >= _UINT64_LIMIT:
-            raise ExactOverflowError(
-                f"EXACT confirmation would overflow 64-bit counts at n={n}; "
-                "rerun with mode='fingerprint'"
-            )
+        _check_exact(n, params.s, params.k)
     elif mode != "fingerprint":
         raise ValueError(f"mode must be 'exact' or 'fingerprint', got {mode!r}")
 
@@ -474,6 +474,11 @@ def search_SU(k1: int, k2: Optional[int] = None, m_max: int = 16) -> CollisionRe
 
     Pair form (k2 given): family U_1(k1) u U_2(k2), needs k1 >= k2 >= 2.
     Single-depth form (k2 None): family U_1(k1), needs k1 >= 1.
+
+    Level m of one prefix tree over {X, Y} (gap 1, the family's trie tables)
+    holds the counts of every Gamma^m string; its family columns are grouped
+    exactly, and the smallest pair in a shared group (the smallest first
+    string, then its smallest partner) is confirmed with count_wildcard.
     """
     if k2 is None:
         if k1 < 1:
@@ -481,19 +486,27 @@ def search_SU(k1: int, k2: Optional[int] = None, m_max: int = 16) -> CollisionRe
         family = enumerate_U(USetSpec.single(1, k1))
     else:
         family = enumerate_U(USetSpec.pair(k1, k2))  # validates k1 >= k2 >= 2
+    tables, cols = _trie_tables(family, "XY")
+    family_cols = [cols[w] for w in family]
+    levels = [_root(len(cols) + 1)]
     scanned = []
     for m in range(1, m_max + 1):
-        groups: dict = {}
-        for code in range(1 << m):
-            p = _gamma_string(code, m)
-            sig = tuple(count_wildcard(w, p) for w in family)
-            groups.setdefault(sig, []).append(p)
+        _grow(levels, m, 1, tables)
         scanned.append(m)
-        pairs = [tuple(g[:2]) for g in groups.values() if len(g) >= 2]
-        if pairs:
+        _, inverse, sizes = np.unique(
+            levels[m][:, family_cols], axis=0, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.reshape(-1)
+        shared = np.flatnonzero(sizes[inverse] >= 2)
+        if len(shared):
+            a = int(shared[0])
+            b = int(np.flatnonzero(inverse == inverse[a])[1])
+            pair = _gamma_string(a, m), _gamma_string(b, m)
+            if any(count_wildcard(w, pair[0]) != count_wildcard(w, pair[1]) for w in family):
+                raise RuntimeError(f"family counts of {pair} disagree with count_wildcard")
             return CollisionReport(
                 n=m,
-                witnesses=(min(pairs),),
+                witnesses=(pair,),
                 scanned_lengths=tuple(scanned),
                 deck_kind=WILDCARD_U,
                 params=(k1, k2),

@@ -79,8 +79,3 @@ def parse_wildcard(text: str) -> str:
         if ch not in _WILDCARD_ALPHABET:
             raise ValueError(f"invalid wildcard symbol {ch!r} at position {pos}")
     return text
-
-
-def format_wildcard(w: str) -> str:
-    """Identity companion to parse_wildcard (patterns are already text)."""
-    return w

@@ -14,11 +14,13 @@ from gapdeck.deck import (
     exact_deck_equal,
     fingerprint,
     pattern_count,
+    pattern_index,
     patterns_upto,
     signature,
     slice_bound,
     verify_eq7,
 )
+from gapdeck.search import find_collision
 from gapdeck.strings import complement, parse_binary, reverse
 
 
@@ -137,6 +139,32 @@ def test_exact_mode_refusal_and_fingerprint_fallback():
     assert fp.mode == "fingerprint"
     assert fp.primes == DEFAULT_FINGERPRINT_PRIMES
     assert deck_equal(x, x, GapParams(2, 8), "fingerprint")
+
+
+def test_one_guard_decides_at_the_64_bit_edge():
+    # the all-ones string reaches the gap-aware bound, which first passes
+    # 2^64 at n=975 for (s, k) = (2, 8)
+    params = GapParams(2, 8)
+    ones = (1,) * 8
+    x = (1,) * 974
+    bound = slice_bound(974, 2, 8)
+    assert 2**63 < bound < 2**64
+    exact = signature(x, params)
+    assert exact.counts[pattern_index(ones)] == bound
+    assert count_gapped(ones, x, 2) == bound
+    assert signature(x, params, "fingerprint") == fingerprint(exact)
+    # any modulus below 2^63 reduces exactly; a larger one could wrap uint64 sums
+    top = (2**63 - 1,)
+    assert signature(x, params, "fingerprint", top) == fingerprint(exact, top)
+    with pytest.raises(ValueError):
+        signature(x, params, "fingerprint", (2**63,))
+    y = (1,) * 975
+    with pytest.raises(ExactOverflowError):
+        signature(y, params)
+    with pytest.raises(ExactOverflowError):
+        count_gapped(ones, y, 2)
+    with pytest.raises(ExactOverflowError):
+        find_collision(975, params)
 
 
 def test_fingerprint_is_a_homomorphism_of_exact_counts():

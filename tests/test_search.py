@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapdeck.deck import ExactOverflowError, GapParams, deck_equal, signature
+from gapdeck.deck import (
+    ExactOverflowError,
+    GapParams,
+    _run_pass,
+    _trie_tables,
+    deck_equal,
+    signature,
+)
 from gapdeck.oracle import find_collision_naive
 from gapdeck.search import (
     DECK_KINDS,
@@ -15,8 +22,10 @@ from gapdeck.search import (
     EXACT_D,
     FULL_B,
     CollisionReport,
+    _grow,
     _hash_lanes,
     _lane_hashes,
+    _root,
     find_collision,
     search_G,
     search_G_star,
@@ -24,6 +33,7 @@ from gapdeck.search import (
     search_exact_D,
 )
 from gapdeck.strings import Puncture, puncture
+from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U, u_equiv
 
 
 def test_find_collision_literal_examples():
@@ -208,6 +218,35 @@ def test_search_SU_values():
     assert r32.n == 7
     assert r32.witnesses[0] == ("XYYXXXY", "YXXXYYX")
     assert r32.deck_kind == "WILDCARD_U"
+    r43 = search_SU(4, 3)
+    assert (r43.n, r43.witnesses[0]) == (12, ("XYYXXXYXXYYX", "YXXXYXYYXXXY"))
+    r53 = search_SU(5, 3)
+    assert (r53.n, r53.witnesses[0]) == (16, ("XYYXXXXXYYYXXXXY", "YXXXXYYYXXXXXYYX"))
+    assert u_equiv(*r53.witnesses[0], USetSpec.pair(5, 3))
+
+
+@st.composite
+def _families(draw):
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 5))
+        return enumerate_U(USetSpec.single(draw(st.integers(1, k)), k))
+    k2 = draw(st.integers(2, 4))
+    return enumerate_U(USetSpec.pair(draw(st.integers(k2, 5)), k2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families(), st.text(alphabet="XY", max_size=10))
+def test_wildcard_kernel_matches_count_wildcard(family, p):
+    # both kernels over the family's trie: one pass over p, and p's row of
+    # the prefix tree that search_SU grows
+    tables, cols = _trie_tables(family, "XY")
+    want = [count_wildcard(w, p) for w in family]
+    row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[0]
+    assert [int(row[cols[w]]) for w in family] == want
+    levels = [_root(len(cols) + 1)]
+    _grow(levels, len(p), 1, tables)
+    leaf = levels[len(p)][int("0" + p.translate(str.maketrans("XY", "01")), 2)]
+    assert [int(leaf[cols[w]]) for w in family] == want
 
 
 def test_search_SU_open_and_validation():

@@ -4,7 +4,6 @@ from gapdeck.strings import (
     Puncture,
     complement,
     format_binary,
-    format_wildcard,
     parse_binary,
     parse_wildcard,
     puncture,
@@ -54,6 +53,5 @@ def test_puncture_length_requirements():
 
 def test_parse_wildcard():
     assert parse_wildcard("XYJ") == "XYJ"
-    assert format_wildcard("JX") == "JX"
     with pytest.raises(ValueError):
         parse_wildcard("XZY")
