@@ -8,14 +8,21 @@ length then lexicographically. Signatures come in EXACT mode (integer counts,
 refused a priori when counts could exceed 64 bits) and FINGERPRINT mode
 (counts reduced modulo a fixed list of large primes).
 
-Counting is one recurrence over the columns of a pattern trie (_trie_tables):
-the nonempty prefixes of the patterns plus the empty prefix, pinned at 1.
-When position i (letter c) is consumed, every column ending in c (or in the
-wildcard J) absorbs the count of its parent prefix as of position i-s, which
-enforces the gap. _run_pass runs it over one string in a single uint64 row:
-exact counts, or, in FINGERPRINT mode, one copy of the columns per prime,
-each reduced by its own prime. The same tables drive the prefix-tree kernel
-of gapdeck.search and its wildcard-family search. Exact counting has one
+Counting is one recurrence over the columns of a pattern trie: column 0 is
+the empty prefix, pinned at 1, and the nonempty prefixes of the patterns
+follow in (length, lex) order. When position i (letter c) is consumed, every
+column ending in c (or in the wildcard J) absorbs the count of its parent
+prefix as of position i-s, which enforces the gap. For the full binary deck
+the columns form a binary heap (pattern w sits at pattern_index(w) + 1, the
+children of column j are 2j+1 and 2j+2), so the update tables of
+_deck_tables are two strided slices and every update reads and writes views;
+_trie_tables builds index arrays for any other pattern list (one pattern, a
+wildcard family). _run_pass runs the recurrence over one string in a
+(rows, width) uint64 state: one row of exact counts, or, in FINGERPRINT mode,
+one row per prime, reduced by a conditional subtract. The state before the
+last letter comes with it, so the four punctured decks of Eq. 7 take two
+passes (_punctured_counts). The same tables drive the prefix-tree kernel of
+gapdeck.search and its wildcard-family search. Exact counting has one
 overflow guard, _check_exact: the gap-aware bound C(n-(l-1)(s-1), l) on any
 count of length l <= k must stay below 2^64.
 """
@@ -23,7 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -90,10 +96,10 @@ def slice_bound(n: int, s: int, ell: int) -> int:
 def _trie_tables(patterns, alphabet=(0, 1)):
     """Update tables of the counting recurrence for any pattern list.
 
-    The columns are the distinct nonempty prefixes of the patterns in (length,
-    lex) order, then one column for the empty prefix, whose count is pinned at
-    1. On letter alphabet[c], every column whose last symbol is that letter or
-    the wildcard "J" absorbs the gap-ready count of its prefix column. Returns
+    Column 0 is the empty prefix, whose count is pinned at 1; the distinct
+    nonempty prefixes of the patterns follow in (length, lex) order. On
+    letter alphabet[c], every column whose last symbol is that letter or the
+    wildcard "J" absorbs the gap-ready count of its prefix column. Returns
     the (dst, src) index arrays per letter and the {prefix: column} map.
     """
     seen = {}  # insertion-ordered, so a sorted prefix-closed list sorts in one pass
@@ -102,21 +108,25 @@ def _trie_tables(patterns, alphabet=(0, 1)):
             seen[w] = None
             w = w[:-1]
     prefixes = sorted(seen, key=lambda p: (len(p), p))
-    cols = {p: i for i, p in enumerate(prefixes)}
-    parent = np.asarray([cols.get(p[:-1], len(prefixes)) for p in prefixes], dtype=np.intp)
+    cols = {p: i for i, p in enumerate(prefixes, 1)}
+    parent = np.asarray([0] + [cols.get(p[:-1], 0) for p in prefixes], dtype=np.intp)
     tables = []
     for c in alphabet:
-        dst = [i for i, p in enumerate(prefixes) if p[-1] == c or p[-1] == "J"]
+        dst = [j for p, j in cols.items() if p[-1] == c or p[-1] == "J"]
         dst = np.asarray(dst, dtype=np.intp)
         tables.append((dst, parent[dst]))
     return tables, cols
 
 
-@lru_cache(maxsize=None)
 def _deck_tables(k: int) -> list:
-    """Trie tables of every binary pattern of length <= k: the columns are the
-    patterns in canonical order, then the empty prefix."""
-    return _trie_tables(patterns_upto(k))[0]
+    """Trie tables of every binary pattern of length <= k, in closed form.
+
+    The columns are the empty prefix, then the patterns in canonical order: a
+    binary heap, in which the columns ending in letter c are 1+c, 3+c, ...
+    and their parents 0, 1, ..., 2^k - 2. Plain slices, so updates are views.
+    """
+    width = pattern_count(k) + 1
+    return [(slice(1 + c, width, 2), slice(0, (1 << k) - 1)) for c in (0, 1)]
 
 
 def _check_exact(n: int, s: int, k: int) -> None:
@@ -133,37 +143,59 @@ def _check_exact(n: int, s: int, k: int) -> None:
         )
 
 
-def _run_pass(x, s: int, tables, width: int, mods=None) -> np.ndarray:
-    """Counts of every trie column after one left-to-right pass over x.
+def _moduli(mode: str, primes: tuple):
+    """None for EXACT mode, else the validated FINGERPRINT moduli."""
+    if mode == "exact":
+        return None
+    if mode != "fingerprint":
+        raise ValueError(f"unknown signature mode {mode!r}")
+    if not primes:
+        raise ValueError("fingerprint mode needs at least one prime")
+    if not all(1 < p < 1 << 63 for p in primes):  # sums of two residues fit uint64
+        raise ValueError("fingerprint moduli must lie in (1, 2^63)")
+    return tuple(primes)
 
-    x holds letter indices into tables. The state is one uint64 row of width
-    cells, the last being the pinned empty prefix; the letter at position i
-    adds the state as of position i-s, kept in an s-deep ring of snapshots.
-    Without mods the counts are exact (callers run _check_exact first). With
-    mods the row holds one copy of the columns per modulus, each reduced by
-    its own modulus (residues below 2^63, so sums of two cannot wrap), and the
-    result has one row per modulus.
+
+def _run_pass(x, s: int, tables, width: int, mods=None):
+    """Counts of every trie column after x[:-1] and after x, in one pass.
+
+    x holds letter indices into tables. The state is a (rows, width) uint64
+    array whose column 0 is the pinned empty prefix; the letter at position i
+    adds the state as of position i-s, kept in a ring of the last s+1 states.
+    Without mods there is one row of exact counts (callers run _check_exact
+    first). With mods there is one row per modulus, reduced by the exact
+    conditional subtract min(v, v - p): residues lie below p < 2^63, so v < 2p
+    never wraps, and v - p wraps above v exactly when v < p.
     """
     rows = 1 if mods is None else len(mods)
-    shift = np.arange(rows)[:, None] * width
-    steps = [
-        (
-            (dst + shift).ravel(),
-            (src + shift).ravel(),
-            None if mods is None else np.repeat(np.asarray(mods, dtype=np.uint64), len(dst)),
-        )
-        for dst, src in tables
-    ]
+    if mods is not None:
+        mods = np.asarray(mods, dtype=np.uint64)[:, None]
     acc = np.zeros((rows, width), dtype=np.uint64)
-    acc[:, -1] = 1
-    acc = acc.ravel()
-    ring = deque([acc.copy()] * s, maxlen=s)
+    acc[:, 0] = 1
+    ring = deque([acc] * (s + 1), maxlen=s + 1)  # states after i-s .. i letters
     for c in x:
-        dst, src, mod = steps[c]
-        v = acc[dst] + ring[0][src]
-        acc[dst] = v if mod is None else v % mod
-        ring.append(acc.copy())
-    return acc.reshape(rows, width)
+        dst, src = tables[c]
+        v = acc[:, dst] + ring[1][:, src]
+        acc = acc.copy()
+        acc[:, dst] = v if mods is None else np.minimum(v, v - mods)
+        ring.append(acc)
+    return ring[-2], acc
+
+
+def _punctured_counts(x: tuple, s: int, k: int, mode: str, primes: tuple) -> tuple:
+    """Deck counts of x and of its L, R and LR punctures, from two passes.
+
+    R = x[:-1] is the state before the last letter of the pass over x, and
+    LR = x[1:-1] the one before the last letter of the pass over x[1:]. Each
+    entry is a (rows, P) array as in _run_pass. Needs len(x) >= 2.
+    """
+    mods = _moduli(mode, primes)
+    if mods is None:
+        _check_exact(len(x), s, k)
+    tables, width = _deck_tables(k), pattern_count(k) + 1
+    right, plain = _run_pass(x, s, tables, width, mods)
+    both, left = _run_pass(x[1:], s, tables, width, mods)
+    return tuple(c[:, 1:] for c in (plain, left, right, both))
 
 
 @dataclass(frozen=True)
@@ -214,7 +246,7 @@ def count_gapped(w: tuple, x: tuple, s: int) -> int:
     w = tuple(w)
     _check_exact(len(x), s, len(w))
     tables, cols = _trie_tables([w])
-    return int(_run_pass(x, s, tables, len(cols) + 1)[0, cols[w]])
+    return int(_run_pass(x, s, tables, len(cols) + 1)[1][0, cols[w]])
 
 
 def signature(
@@ -231,20 +263,13 @@ def signature(
     """
     s, k = _check_params(params)
     n = len(x)
-    P = pattern_count(k)
-    if mode == "exact":
+    mods = _moduli(mode, primes)
+    if mods is None:
         _check_exact(n, s, k)
-        counts = tuple(_run_pass(x, s, _deck_tables(k), P + 1)[0, :P].tolist())
-        return DeckSignature(GapParams(s, k), "exact", n, counts)
-    if mode == "fingerprint":
-        if not primes:
-            raise ValueError("fingerprint mode needs at least one prime")
-        if not all(1 < p < 1 << 63 for p in primes):  # sums of two residues fit uint64
-            raise ValueError("fingerprint moduli must lie in (1, 2^63)")
-        res = _run_pass(x, s, _deck_tables(k), P + 1, tuple(primes))
-        counts = tuple(zip(*res[:, :P].tolist()))
-        return DeckSignature(GapParams(s, k), "fingerprint", n, counts, tuple(primes))
-    raise ValueError(f"unknown signature mode {mode!r}")
+    res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[1][:, 1:]
+    if mods is None:
+        return DeckSignature(GapParams(s, k), "exact", n, tuple(res[0].tolist()))
+    return DeckSignature(GapParams(s, k), "fingerprint", n, tuple(zip(*res.tolist())), mods)
 
 
 def punctured_signature(
@@ -307,23 +332,26 @@ class Eq7Report:
 
 
 def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq7Report:
-    """Check the four-way condition: decks equal before and after every puncture."""
+    """Check the four-way condition: decks equal before and after every puncture.
+
+    Two passes per string (_punctured_counts); EXACT mode is guarded once, at
+    the full length.
+    """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("need length >= 2 so both ends can be punctured")
 
-    def eq(spec: Puncture) -> bool:
-        a = punctured_signature(x, params, spec, mode)
-        b = punctured_signature(y, params, spec, mode)
-        return a.counts == b.counts
-
+    params = _check_params(params)
+    a = _punctured_counts(x, *params, mode, DEFAULT_FINGERPRINT_PRIMES)
+    b = _punctured_counts(y, *params, mode, DEFAULT_FINGERPRINT_PRIMES)
+    plain, left, right, both = (np.array_equal(u, v) for u, v in zip(a, b))
     return Eq7Report(
-        plain_equal=eq(Puncture.NONE),
-        lr_equal=eq(Puncture.LR),
-        l_equal=eq(Puncture.L),
-        r_equal=eq(Puncture.R),
-        params=_check_params(params),
+        plain_equal=plain,
+        lr_equal=both,
+        l_equal=left,
+        r_equal=right,
+        params=params,
         mode=mode,
     )
 

@@ -16,13 +16,16 @@ lengths are excluded from the scan and listed in the report notes instead of
 being reported as collisions.
 
 The hashing runs the deck engine's recurrence over the prefix tree of a code
-range instead of once per string. Level i holds the DP state (pattern counts
-plus the pinned empty-prefix column) of every length-i prefix in code order;
-level i+1 repeats each row twice, and the rows ending in bit b add the
-prefix-count columns of their ancestor at level max(0, i+1-s), which enforces
-the gap. Each prefix is thus extended once, so the cost is about 2^(n+1) row
-updates rather than n per string. A code range is an aligned block with fixed
-top bits: its path is built once, then leaf chunks of at most 2^16 rows are
+range instead of once per string. Level i holds the DP state (the pinned
+empty-prefix column 0, then the pattern counts in the deck's heap order) of
+every length-i prefix in code order; level i+1 repeats each row twice, and
+the rows ending in bit b add the prefix-count columns of their ancestor at
+level max(0, i+1-s), which enforces the gap. For decks the columns ending in
+b and their prefix columns are strided slices, so the update reads and
+writes views; a general trie (a wildcard family) uses index arrays. Each
+prefix is thus extended once, so the cost is about 2^(n+1) row updates
+rather than n per string. A code range is an aligned block with fixed top
+bits: its path is built once, then leaf chunks of at most 2^16 rows are
 expanded separately, keeping only the last s+1 levels. EQ7_STAR needs two
 trees: the R puncture (drop the last bit) is the parent level of the plain
 tree, and the L puncture (drop the first bit) is a tree over the code mod
@@ -30,6 +33,11 @@ tree, and the L puncture (drop the first bit) is a tree over the code mod
 counts, so the four punctures' lanes are summed. The tree runs on the deck
 engine's trie tables, so search_SU reuses it: over {X, Y} with gap 1 and the
 trie of a wildcard family, whose J columns update on both letters.
+
+Hash groups are found with one argsort of the first lane; only runs of equal
+first lanes, which are rare, are split by the second. Checkpoint sidecars
+carry their range key (format version, deck kind, s, k, n, code range), so a
+sidecar of another search or an older format is recomputed, not trusted.
 """
 from __future__ import annotations
 
@@ -48,11 +56,11 @@ from gapdeck.deck import (
     GapParams,
     _check_exact,
     _deck_tables,
+    _punctured_counts,
     _trie_tables,
     pattern_count,
     signature,
 )
-from gapdeck.strings import Puncture, puncture
 from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U
 
 log = logging.getLogger("gapdeck.search")
@@ -67,6 +75,7 @@ DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # leaf chunks of at most 2^16 rows bound the working set
+_SIDECAR_FORMAT = "gapdeck-lanes/2"  # format 1 sidecars held no range key
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,9 @@ def _extend(levels: list, s: int, tables) -> np.ndarray:
 
 def _root(width: int) -> np.ndarray:
     """Level 0 of a prefix tree: the empty string, whose only nonzero count
-    is the pinned empty-prefix column."""
+    is the pinned empty-prefix column 0."""
     root = np.zeros((1, width), dtype=np.uint64)
-    root[0, -1] = 1
+    root[0, 0] = 1
     return root
 
 
@@ -170,12 +179,11 @@ def _prefix_tree(n: int, s: int, k: int, lo: int, hi: int):
 
 def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
     """(hi-lo, 2) lanes: counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes]."""
-    P = pattern_count(k)
     h = np.empty((hi - lo, 2), dtype=np.uint64)
     for off, leaf, parent in _prefix_tree(n, s, k, lo, hi):
-        part = leaf[:, :P] @ leaf_lanes
+        part = leaf[:, 1:] @ leaf_lanes
         if parent_lanes is not None:
-            part += np.repeat(parent[:, :P] @ parent_lanes, len(leaf) // len(parent), axis=0)
+            part += np.repeat(parent[:, 1:] @ parent_lanes, len(leaf) // len(parent), axis=0)
         h[off : off + len(leaf)] = part
     return h
 
@@ -219,11 +227,8 @@ def _code_to_string(code: int, n: int) -> tuple:
 
 def _confirm_key(x: tuple, params: GapParams, deck_kind: str, mode: str, primes: tuple):
     """The exact object whose equality defines a collision of this kind."""
-    if deck_kind == EQ7_STAR:
-        return tuple(
-            signature(puncture(x, spec), params, mode, primes).counts
-            for spec in (Puncture.NONE, Puncture.L, Puncture.R, Puncture.LR)
-        )
+    if deck_kind == EQ7_STAR:  # plain, L, R and LR counts
+        return tuple(c.tobytes() for c in _punctured_counts(x, *params, mode, primes))
     sig = signature(x, params, mode, primes)
     if deck_kind == EXACT_D:
         return sig.length_slice(params.k)
@@ -250,26 +255,59 @@ def _load_done(checkpoint: Optional[str]) -> set:
     return done
 
 
-def _load_sidecar(sidecar: str, size: int):
-    """The (h1, h2) lanes a sidecar holds for a range of `size` codes, or None
-    when the file is missing, unreadable or holds lanes of another length."""
+def _range_key(n, s, k, deck_kind, lo, hi) -> str:
+    """What a sidecar's lanes are of: the format, the search and the range."""
+    return f"{_SIDECAR_FORMAT} {deck_kind} s={s} k={k} n={n} {lo}:{hi}"
+
+
+def _load_sidecar(sidecar: str, key: str, size: int):
+    """The (h1, h2) lanes a sidecar holds for the range `key` of `size` codes,
+    or None when the file is missing or unreadable, carries no key or another
+    one, or holds lanes of another length."""
     try:
         with open(sidecar, "rb") as fh, np.load(fh) as data:
+            stored = str(data["key"])
             lanes = data["h1"], data["h2"]
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    if any(h.shape != (size,) or h.dtype != np.uint64 for h in lanes):
+    if stored != key or any(h.shape != (size,) or h.dtype != np.uint64 for h in lanes):
         return None
     return lanes
 
 
-def _save_sidecar(sidecar: str, h1: np.ndarray, h2: np.ndarray) -> None:
-    """Write the lanes to a temporary file, then rename it over the sidecar,
-    so a reader never sees a half-written one."""
+def _save_sidecar(sidecar: str, key: str, h1: np.ndarray, h2: np.ndarray) -> None:
+    """Write the lanes and their range key to a temporary file, then rename it
+    over the sidecar, so a reader never sees a half-written one."""
     tmp = sidecar + ".tmp"
     with open(tmp, "wb") as fh:  # a handle: np.savez appends .npz to a bare name
-        np.savez(fh, h1=h1, h2=h2)
+        np.savez(fh, key=np.array(key), h1=h1, h2=h2)
     os.replace(tmp, sidecar)
+
+
+def _hash_groups(h1: np.ndarray, h2: np.ndarray) -> list:
+    """Positions sharing both lanes, as groups of two or more.
+
+    Each group is sorted and the groups are ordered by their first position.
+    One argsort of h1 finds the runs of equal h1; only their members, which
+    are few unless decks collide en masse, are sorted again to split each run
+    by h2.
+    """
+    order = np.argsort(h1)
+    sh1 = h1[order]
+    tie = sh1[1:] == sh1[:-1]
+    in_run = np.zeros(len(h1), dtype=bool)
+    in_run[1:] = tie
+    in_run[:-1] |= tie
+    cand = order[in_run]
+    cand = cand[np.lexsort((h2[cand], h1[cand]))]
+    c1, c2 = h1[cand], h2[cand]
+    boundary = np.ones(len(cand), dtype=bool)
+    boundary[1:] = (c1[1:] != c1[:-1]) | (c2[1:] != c2[:-1])
+    starts = np.flatnonzero(boundary)
+    ends = np.append(starts[1:], len(cand))
+    groups = [np.sort(cand[a:b]) for a, b in zip(starts, ends) if b - a >= 2]
+    groups.sort(key=lambda g: int(g[0]))
+    return groups
 
 
 def find_collision(
@@ -287,10 +325,12 @@ def find_collision(
     append-only text log records each finished code range and the per-range
     hash lanes are kept in .npz sidecars, so an interrupted run resumes; a
     sidecar that cannot be read or holds lanes of the wrong length is ignored
-    and its range recomputed. One INFO line reports the strings hashed, the
-    ranges computed and loaded, the hash-coincident groups, the hash false
-    positives (groups that split under exact confirmation) and the seconds
-    spent hashing, sorting and confirming.
+    and its range recomputed, and so is one whose stored range key (format
+    version, deck kind, s, k, n, lo:hi) is missing or names another range.
+    One INFO line reports the strings hashed, the ranges computed and loaded,
+    the hash-coincident groups, the hash false positives (groups that split
+    under exact confirmation) and the seconds spent hashing, sorting and
+    confirming.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -317,7 +357,7 @@ def find_collision(
             logfile, sidecar = _checkpoint_paths(checkpoint, n, params.s, params.k, deck_kind, lo, hi)
             key = (deck_kind, str(params.s), str(params.k), str(n), f"{lo}:{hi}")
             if key in done:
-                lanes = _load_sidecar(sidecar, hi - lo)
+                lanes = _load_sidecar(sidecar, _range_key(n, *params, deck_kind, lo, hi), hi - lo)
                 if lanes is not None:
                     h1[lo:hi], h2[lo:hi] = lanes
                     continue
@@ -329,7 +369,7 @@ def find_collision(
         h2[lo:hi] = r2
         if checkpoint is not None:
             logfile, sidecar = _checkpoint_paths(checkpoint, n, params.s, params.k, deck_kind, lo, hi)
-            _save_sidecar(sidecar, r1, r2)
+            _save_sidecar(sidecar, _range_key(n, *params, deck_kind, lo, hi), r1, r2)
             with open(logfile, "a") as fh:
                 fh.write(f"{deck_kind} {params.s} {params.k} {n} {lo}:{hi} done\n")
         log.debug("hashed range %d:%d of 2^%d", lo, hi, n)
@@ -347,19 +387,7 @@ def find_collision(
                 store(lo, hi, r1, r2)
 
     t_sort = time.perf_counter()
-    order = np.lexsort((h2, h1))
-    sh1, sh2 = h1[order], h2[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (sh1[1:] != sh1[:-1]) | (sh2[1:] != sh2[:-1])
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], total)
-
-    groups = []
-    for a, b in zip(starts, ends):
-        if b - a >= 2:
-            groups.append(np.sort(order[a:b]))
-    groups.sort(key=lambda g: int(g[0]))
+    groups = _hash_groups(h1, h2)
 
     t_confirm = time.perf_counter()
     best = None

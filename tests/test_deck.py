@@ -1,13 +1,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapdeck.constructions import padded_mt
 from gapdeck.deck import (
     DEFAULT_FINGERPRINT_PRIMES,
     DeckSignature,
     ExactOverflowError,
     GapParams,
+    _deck_tables,
+    _trie_tables,
     count_gapped,
     deck_equal,
     enumerate_deck,
@@ -16,12 +22,13 @@ from gapdeck.deck import (
     pattern_count,
     pattern_index,
     patterns_upto,
+    punctured_signature,
     signature,
     slice_bound,
     verify_eq7,
 )
 from gapdeck.search import find_collision
-from gapdeck.strings import complement, parse_binary, reverse
+from gapdeck.strings import Puncture, complement, parse_binary, reverse
 
 
 def test_count_gapped_basic_values():
@@ -47,6 +54,18 @@ def test_count_gapped_gap_one_is_plain_subsequence_count():
 def test_pattern_order_is_length_then_lex():
     assert patterns_upto(2) == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     assert pattern_count(3) == 14
+
+
+def test_deck_tables_are_the_heap_order_of_the_trie_tables():
+    # the closed-form slices select exactly the columns the general trie
+    # builder finds for the full binary deck, pinned empty prefix at column 0
+    for k in range(1, 9):
+        tables, cols = _trie_tables(patterns_upto(k))
+        assert cols == {w: pattern_index(w) + 1 for w in patterns_upto(k)}
+        width = pattern_count(k) + 1
+        for (dst, src), (want_dst, want_src) in zip(_deck_tables(k), tables):
+            assert np.array_equal(np.arange(width)[dst], want_dst)
+            assert np.array_equal(np.arange(width)[src], want_src)
 
 
 def test_enumerate_deck_worked_example():
@@ -192,6 +211,42 @@ def test_verify_eq7_known_cases():
     assert rep.plain_equal
     rep = verify_eq7(parse_binary("0101"), parse_binary("0101"), GapParams(2, 2))
     assert rep.all_equal
+
+
+_EQ7_PAIRS = [(p.x, p.y) for p in map(padded_mt, (1, 2, 3))] + [
+    (parse_binary("010011"), parse_binary("001101")),
+    (parse_binary("0010"), parse_binary("0100")),
+    (parse_binary("01"), parse_binary("10")),
+]
+
+
+@st.composite
+def _eq7_pairs(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_EQ7_PAIRS))
+    bits = st.lists(st.integers(0, 1), min_size=2, max_size=16)
+    x = tuple(draw(bits))
+    y = tuple(draw(st.lists(st.integers(0, 1), min_size=len(x), max_size=len(x))))
+    return x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(_eq7_pairs(), st.integers(1, 3), st.integers(1, 4), st.sampled_from(["exact", "fingerprint"]))
+def test_two_pass_verify_eq7_matches_punctured_signatures(pair, s, k, mode):
+    # R and LR are read off the passes over x and x[1:]; each flag must be
+    # the comparison of the separately computed punctured signatures
+    x, y = pair
+    params = GapParams(s, k)
+    rep = verify_eq7(x, y, params, mode)
+
+    def eq(spec):
+        return (punctured_signature(x, params, spec, mode).counts
+                == punctured_signature(y, params, spec, mode).counts)
+
+    assert (rep.plain_equal, rep.l_equal, rep.r_equal, rep.lr_equal) == tuple(
+        eq(spec) for spec in (Puncture.NONE, Puncture.L, Puncture.R, Puncture.LR)
+    )
+    assert rep.mode == mode and rep.params == params
 
 
 def test_verify_eq7_errors():

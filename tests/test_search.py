@@ -23,6 +23,7 @@ from gapdeck.search import (
     FULL_B,
     CollisionReport,
     _grow,
+    _hash_groups,
     _hash_lanes,
     _lane_hashes,
     _root,
@@ -160,6 +161,35 @@ def test_checkpoint_rejects_damaged_sidecar(tmp_path, damage):
         assert data["h1"].shape == data["h2"].shape == (256,)
 
 
+def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
+    # a sidecar of another search, copied over this range's, must be
+    # recomputed, not trusted: its lanes would hide the collision
+    a, b = tmp_path / "a", tmp_path / "b"
+    expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(a)) == expected
+    find_collision(8, GapParams(2, 3), FULL_B, checkpoint=str(b))
+    (mine,), (foreign,) = a.glob("*.npz"), b.glob("*.npz")
+    mine.write_bytes(foreign.read_bytes())
+    with caplog.at_level("WARNING", logger="gapdeck.search"):
+        assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(a)) == expected
+    assert "unusable" in caplog.text
+    # the rewritten sidecar is this range's again, so the next resume loads it
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="gapdeck.search"):
+        assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(a)) == expected
+    assert caplog.text == ""
+
+
+def test_hash_groups_need_both_lanes():
+    h1 = np.array([7, 3, 7, 5, 3, 7, 9, 3], dtype=np.uint64)
+    h2 = np.array([1, 4, 2, 0, 4, 1, 9, 4], dtype=np.uint64)
+    # 3, 3, 3 is one three-way group; of the three 7s only the two with
+    # h2 = 1 group, and the one with h2 = 2 stays alone
+    groups = _hash_groups(h1, h2)
+    assert [g.tolist() for g in groups] == [[0, 5], [1, 4, 7]]
+    assert _hash_groups(np.arange(5, dtype=np.uint64), np.zeros(5, dtype=np.uint64)) == []
+
+
 def _reference_lanes(code, n, s, k, deck_kind):
     """Both hash lanes of one string from its deck signatures, in Python ints."""
     x = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
@@ -241,7 +271,7 @@ def test_wildcard_kernel_matches_count_wildcard(family, p):
     # the prefix tree that search_SU grows
     tables, cols = _trie_tables(family, "XY")
     want = [count_wildcard(w, p) for w in family]
-    row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[0]
+    row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[1][0]
     assert [int(row[cols[w]]) for w in family] == want
     levels = [_root(len(cols) + 1)]
     _grow(levels, len(p), 1, tables)
