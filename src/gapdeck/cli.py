@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures import BrokenExecutor  # raised when a search worker dies
 
 from gapdeck import bounds as bounds_mod
 from gapdeck import oracle
@@ -190,7 +191,8 @@ def _report_lines(report) -> list:
 
 def cmd_search(args) -> int:
     if args.which == "SU":
-        report = search_SU(args.k1, args.k2, args.m_max)
+        report = search_SU(args.k1, args.k2, args.m_max,
+                           workers=args.workers, checkpoint=args.checkpoint)
         params = {"which": "SU", "k1": args.k1, "k2": args.k2, "m_max": args.m_max}
     else:
         fn = {"G": search_G, "Gstar": search_G_star, "exactD": search_exact_D}[
@@ -465,7 +467,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError, ExactOverflowError) as exc:
+    except (ValueError, OSError, ExactOverflowError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,17 +30,23 @@ expanded separately, keeping only the last s+1 levels. EQ7_STAR needs two
 trees: the R puncture (drop the last bit) is the parent level of the plain
 tree, and the L puncture (drop the first bit) is a tree over the code mod
 2^(n-1), whose parent level is the LR puncture. Hash lanes are linear in the
-counts, so the four punctures' lanes are summed. The tree runs on the deck
-engine's trie tables, so search_SU reuses it: over {X, Y} with gap 1 and the
-trie of a wildcard family, whose J columns update on both letters.
+counts, so the four punctures' lanes are summed.
+
+search_SU is the same search over {X, Y} (deck kind WILDCARD_U): the tree runs
+at gap 1 on the trie of a wildcard family, whose J columns update on both
+letters, and the lane matrix hashes the family's columns only, as EXACT_D
+hashes only the depth-k slice. Its hash groups are confirmed by count_wildcard,
+the independent reference, and its ranges, checkpoints, workers and telemetry
+are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
 Hash groups are found with one argsort of the first lane; only runs of equal
 first lanes, which are rare, are split by the second. Checkpoint sidecars
-carry their range key (format version, deck kind, s, k, n, code range), so a
+carry their range key (format version, deck kind, params, n, code range), so a
 sidecar of another search or an older format is recomputed, not trusted.
 """
 from __future__ import annotations
 
+import concurrent.futures  # its ProcessPoolExecutor is imported on first use
 import logging
 import multiprocessing
 import os
@@ -70,7 +76,7 @@ EXACT_D = "EXACT_D"
 EQ7_STAR = "EQ7_STAR"
 WILDCARD_U = "WILDCARD_U"
 
-DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)
+DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)  # the binary kinds; WILDCARD_U is search_SU's
 
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
@@ -148,21 +154,21 @@ def _grow(levels: list, stop: int, s: int, tables) -> None:
             levels[stale] = None
 
 
-def _prefix_tree(n: int, s: int, k: int, lo: int, hi: int):
+def _prefix_tree(n: int, s: int, tables, width: int, lo: int, hi: int):
     """Yield (offset, leaf, parent) for the DP states of codes lo..hi-1.
 
-    leaf holds the states (counts plus the pinned empty-prefix column) of the
-    codes lo+offset.. at length n, parent those of their length-(n-1)
-    prefixes. [lo, hi) must be an aligned power-of-two block: a subtree with
-    fixed top bits, whose path is built once; below it, leaf chunks of at most
+    The states are rows of `width` columns on the trie `tables`. leaf holds
+    the states (counts plus the pinned empty-prefix column) of the codes
+    lo+offset.. at length n, parent those of their length-(n-1) prefixes.
+    [lo, hi) must be an aligned power-of-two block: a subtree with fixed top
+    bits, whose path is built once; below it, leaf chunks of at most
     2^_LEAF_BITS rows are expanded one at a time.
     """
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
     t = n - (size.bit_length() - 1)
-    tables = _deck_tables(k)
-    levels = [_root(pattern_count(k) + 1)]
+    levels = [_root(width)]
     for i in range(t):
         bit = (lo >> (n - 1 - i)) & 1
         levels.append(_extend(levels, s, tables)[bit : bit + 1])
@@ -177,10 +183,10 @@ def _prefix_tree(n: int, s: int, k: int, lo: int, hi: int):
         yield q << (n - c), chunk[n], chunk[n - 1]
 
 
-def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
+def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
     """(hi-lo, 2) lanes: counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes]."""
     h = np.empty((hi - lo, 2), dtype=np.uint64)
-    for off, leaf, parent in _prefix_tree(n, s, k, lo, hi):
+    for off, leaf, parent in _prefix_tree(n, s, tables, width, lo, hi):
         part = leaf[:, 1:] @ leaf_lanes
         if parent_lanes is not None:
             part += np.repeat(parent[:, 1:] @ parent_lanes, len(leaf) // len(parent), axis=0)
@@ -188,45 +194,68 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
     return h
 
 
-def _lane_hashes(n: int, s: int, k: int, deck_kind: str, lo: int, hi: int):
+def _family(k1: int, k2: Optional[int]) -> list:
+    """The wildcard family of search_SU: U_1(k1) u U_2(k2), or U_1(k1) if k2 is None."""
+    if k2 is None:
+        if k1 < 1:
+            raise ValueError(f"single-depth form needs k1 >= 1, got {k1}")
+        return enumerate_U(USetSpec.single(1, k1))
+    return enumerate_U(USetSpec.pair(k1, k2))  # validates k1 >= k2 >= 2
+
+
+def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int):
     """Hash lanes (h1, h2) for codes lo..hi-1 at length n.
 
-    Each lane is the wrapping uint64 dot product of the deck kind's counts
-    with a fixed row of odd multipliers; EQ7_STAR concatenates the plain, L,
-    R and LR punctured counts, EXACT_D keeps only the depth-k slice.
+    (a, b) are the search's params: (s, k) for the deck kinds, (k1, k2) for
+    WILDCARD_U. Each lane is the wrapping uint64 dot product of the kind's
+    counts with a fixed row of odd multipliers; EQ7_STAR concatenates the
+    plain, L, R and LR punctured counts, EXACT_D keeps only the depth-k slice
+    and WILDCARD_U only the family's columns of its trie.
     """
-    P = pattern_count(k)
+    if deck_kind == WILDCARD_U:
+        family = _family(a, b)
+        tables, cols = _trie_tables(family, "XY")
+        lanes = np.zeros((len(cols), 2), dtype=np.uint64)
+        lanes[[cols[w] - 1 for w in family]] = _hash_lanes(len(family)).T
+        h = _tree_hashes(n, 1, tables, len(cols) + 1, lo, hi, lanes)
+        return h[:, 0].copy(), h[:, 1].copy()
+    s, P = a, pattern_count(b)
+    tree = s, _deck_tables(b), P + 1
     if deck_kind == EQ7_STAR:
         plain, left, right, both = np.split(_hash_lanes(4 * P).T, 4)
-        h = _tree_hashes(n, s, k, lo, hi, plain, right)
+        h = _tree_hashes(n, *tree, lo, hi, plain, right)
         # x[1:] is code mod 2^(n-1): one subtree, or the whole tree twice
         half = 1 << (n - 1)
         size = min(hi - lo, half)
         h += np.tile(
-            _tree_hashes(n - 1, s, k, lo % half, lo % half + size, left, both),
+            _tree_hashes(n - 1, *tree, lo % half, lo % half + size, left, both),
             ((hi - lo) // size, 1),
         )
     elif deck_kind == EXACT_D:
         lanes = np.zeros((P, 2), dtype=np.uint64)
-        lanes[(1 << k) - 2 :] = _hash_lanes(1 << k).T
-        h = _tree_hashes(n, s, k, lo, hi, lanes)
+        lanes[(1 << b) - 2 :] = _hash_lanes(1 << b).T
+        h = _tree_hashes(n, *tree, lo, hi, lanes)
     else:
-        h = _tree_hashes(n, s, k, lo, hi, _hash_lanes(P).T)
+        h = _tree_hashes(n, *tree, lo, hi, _hash_lanes(P).T)
     return h[:, 0].copy(), h[:, 1].copy()
 
 
 def _hash_range(args):
-    n, s, k, deck_kind, lo, hi = args
-    h1, h2 = _lane_hashes(n, s, k, deck_kind, lo, hi)
+    n, a, b, deck_kind, lo, hi = args
+    h1, h2 = _lane_hashes(n, a, b, deck_kind, lo, hi)
     return lo, hi, h1, h2
 
 
-def _code_to_string(code: int, n: int) -> tuple:
-    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+def _code_to_string(code: int, n: int, deck_kind: str):
+    """The string of a code: a bit tuple, or over {X, Y} for WILDCARD_U."""
+    bits = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+    return "".join("XY"[b] for b in bits) if deck_kind == WILDCARD_U else bits
 
 
-def _confirm_key(x: tuple, params: GapParams, deck_kind: str, mode: str, primes: tuple):
+def _confirm_key(x, params, deck_kind: str, mode: str, primes: tuple):
     """The exact object whose equality defines a collision of this kind."""
+    if deck_kind == WILDCARD_U:  # the family counts, from the independent reference
+        return tuple(count_wildcard(w, x) for w in _family(*params))
     if deck_kind == EQ7_STAR:  # plain, L, R and LR counts
         return tuple(c.tobytes() for c in _punctured_counts(x, *params, mode, primes))
     sig = signature(x, params, mode, primes)
@@ -235,10 +264,17 @@ def _confirm_key(x: tuple, params: GapParams, deck_kind: str, mode: str, primes:
     return sig.counts
 
 
-def _checkpoint_paths(checkpoint: Optional[str], n, s, k, deck_kind, lo, hi):
+def _tags(params, deck_kind: str) -> list:
+    """The params as name=value strings: s and k, or k1 and k2 for WILDCARD_U."""
+    names = ("k1", "k2") if deck_kind == WILDCARD_U else ("s", "k")
+    return [f"{a}={v}" for a, v in zip(names, params)]
+
+
+def _checkpoint_paths(checkpoint: Optional[str], n, params, deck_kind, lo, hi):
     logfile = os.path.join(checkpoint, "search.log")
-    sidecar = os.path.join(checkpoint, f"{deck_kind}_s{s}_k{k}_n{n}_{lo}_{hi}.npz")
-    return logfile, sidecar
+    tags = [t.replace("=", "") for t in _tags(params, deck_kind)]
+    sidecar = os.path.join(checkpoint, "_".join([deck_kind, *tags, f"n{n}", str(lo), str(hi)]))
+    return logfile, sidecar + ".npz"
 
 
 def _load_done(checkpoint: Optional[str]) -> set:
@@ -255,9 +291,9 @@ def _load_done(checkpoint: Optional[str]) -> set:
     return done
 
 
-def _range_key(n, s, k, deck_kind, lo, hi) -> str:
+def _range_key(n, params, deck_kind, lo, hi) -> str:
     """What a sidecar's lanes are of: the format, the search and the range."""
-    return f"{_SIDECAR_FORMAT} {deck_kind} s={s} k={k} n={n} {lo}:{hi}"
+    return " ".join([_SIDECAR_FORMAT, deck_kind, *_tags(params, deck_kind), f"n={n}", f"{lo}:{hi}"])
 
 
 def _load_sidecar(sidecar: str, key: str, size: int):
@@ -321,12 +357,14 @@ def find_collision(
 ) -> Optional[tuple]:
     """Lexicographically smallest confirmed confusable pair at length n, or None.
 
-    Enumerates all 2^n strings. `checkpoint`, if given, is a directory: an
+    Enumerates all 2^n strings. params is GapParams(s, k) for the deck kinds
+    and (k1, k2) for WILDCARD_U, whose pairs are strings over {X, Y} equal on
+    every count of search_SU's family. `checkpoint`, if given, is a directory: an
     append-only text log records each finished code range and the per-range
     hash lanes are kept in .npz sidecars, so an interrupted run resumes; a
     sidecar that cannot be read or holds lanes of the wrong length is ignored
     and its range recomputed, and so is one whose stored range key (format
-    version, deck kind, s, k, n, lo:hi) is missing or names another range.
+    version, deck kind, params, n, lo:hi) is missing or names another range.
     One INFO line reports the strings hashed, the ranges computed and loaded,
     the hash-coincident groups, the hash false positives (groups that split
     under exact confirmation) and the seconds spent hashing, sorting and
@@ -334,12 +372,14 @@ def find_collision(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if deck_kind not in DECK_KINDS:
-        raise ValueError(f"deck_kind must be one of {DECK_KINDS}, got {deck_kind!r}")
+    kinds = DECK_KINDS + (WILDCARD_U,)
+    if deck_kind not in kinds:
+        raise ValueError(f"deck_kind must be one of {kinds}, got {deck_kind!r}")
     if deck_kind == EQ7_STAR and n < 2:
         raise ValueError("EQ7_STAR needs n >= 2 (both-sides puncture)")
-    if mode == "exact":
-        _check_exact(n, params.s, params.k)
+    if mode == "exact":  # a family pattern of length l counts at most C(n, l)
+        s, k = (1, params[0]) if deck_kind == WILDCARD_U else params
+        _check_exact(n, s, k)
     elif mode != "fingerprint":
         raise ValueError(f"mode must be 'exact' or 'fingerprint', got {mode!r}")
 
@@ -354,37 +394,36 @@ def find_collision(
     pending = []
     for lo, hi in ranges:
         if checkpoint is not None:
-            logfile, sidecar = _checkpoint_paths(checkpoint, n, params.s, params.k, deck_kind, lo, hi)
-            key = (deck_kind, str(params.s), str(params.k), str(n), f"{lo}:{hi}")
-            if key in done:
-                lanes = _load_sidecar(sidecar, _range_key(n, *params, deck_kind, lo, hi), hi - lo)
+            logfile, sidecar = _checkpoint_paths(checkpoint, n, params, deck_kind, lo, hi)
+            if (deck_kind, *map(str, params), str(n), f"{lo}:{hi}") in done:
+                lanes = _load_sidecar(sidecar, _range_key(n, params, deck_kind, lo, hi), hi - lo)
                 if lanes is not None:
                     h1[lo:hi], h2[lo:hi] = lanes
                     continue
                 log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
-        pending.append((n, params.s, params.k, deck_kind, lo, hi))
+        pending.append((n, *params, deck_kind, lo, hi))
 
     def store(lo, hi, r1, r2):
         h1[lo:hi] = r1
         h2[lo:hi] = r2
         if checkpoint is not None:
-            logfile, sidecar = _checkpoint_paths(checkpoint, n, params.s, params.k, deck_kind, lo, hi)
-            _save_sidecar(sidecar, _range_key(n, *params, deck_kind, lo, hi), r1, r2)
+            logfile, sidecar = _checkpoint_paths(checkpoint, n, params, deck_kind, lo, hi)
+            _save_sidecar(sidecar, _range_key(n, params, deck_kind, lo, hi), r1, r2)
             with open(logfile, "a") as fh:
-                fh.write(f"{deck_kind} {params.s} {params.k} {n} {lo}:{hi} done\n")
+                fh.write(f"{deck_kind} {' '.join(map(str, params))} {n} {lo}:{hi} done\n")
         log.debug("hashed range %d:%d of 2^%d", lo, hi, n)
 
     if checkpoint is not None:
         os.makedirs(checkpoint, exist_ok=True)
     if workers <= 1 or len(pending) <= 1:
         for task in pending:
-            lo, hi, r1, r2 = _hash_range(task)
-            store(lo, hi, r1, r2)
-    else:
+            store(*_hash_range(task))
+    else:  # a worker that dies raises BrokenProcessPool here instead of hanging
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for lo, hi, r1, r2 in pool.imap(_hash_range, pending):
-                store(lo, hi, r1, r2)
+        pool = concurrent.futures.ProcessPoolExecutor(min(workers, len(pending)), mp_context=ctx)
+        with pool:
+            for result in pool.map(_hash_range, pending):
+                store(*result)
 
     t_sort = time.perf_counter()
     groups = _hash_groups(h1, h2)
@@ -399,7 +438,7 @@ def find_collision(
         seen: dict = {}
         for code in g:
             code = int(code)
-            x = _code_to_string(code, n)
+            x = _code_to_string(code, n, deck_kind)
             key = _confirm_key(x, params, deck_kind, mode, primes)
             seen.setdefault(key, []).append(code)
         for members in seen.values():
@@ -410,16 +449,16 @@ def find_collision(
         split += len(seen) > 1
     t_end = time.perf_counter()
     log.info(
-        "n=%d %s s=%d k=%d: %d strings hashed, ranges %d computed / %d loaded, "
+        "n=%d %s %s: %d strings hashed, ranges %d computed / %d loaded, "
         "%d hash-coincident groups (%d confirmed, %d hash false positives); "
         "hash %.3f s, sort %.3f s, confirm %.3f s",
-        n, deck_kind, params.s, params.k, sum(hi - lo for *_, lo, hi in pending),
+        n, deck_kind, " ".join(_tags(params, deck_kind)), sum(hi - lo for *_, lo, hi in pending),
         len(pending), len(ranges) - len(pending), len(groups), confirmed, split,
         t_sort - t_hash, t_confirm - t_sort, t_end - t_confirm,
     )
     if best is None:
         return None
-    return _code_to_string(best[0], n), _code_to_string(best[1], n)
+    return _code_to_string(best[0], n, deck_kind), _code_to_string(best[1], n, deck_kind)
 
 
 def _scan(params, n_max, deck_kind, floor, workers, mode, checkpoint, primes):
@@ -431,22 +470,20 @@ def _scan(params, n_max, deck_kind, floor, workers, mode, checkpoint, primes):
             f"there (every pair vacuously equal), first meaningful length is {floor}"
         )
     for n in range(floor, n_max + 1):
-        log.info("scanning n=%d (%s, s=%d, k=%d)", n, deck_kind, params.s, params.k)
+        log.info("scanning n=%d (%s, %s)", n, deck_kind, ", ".join(_tags(params, deck_kind)))
         pair = find_collision(n, params, deck_kind, workers, mode, checkpoint, primes)
         scanned.append(n)
         if pair is not None:
-            return CollisionReport(
-                n=n,
-                witnesses=(pair,),
-                scanned_lengths=tuple(scanned),
-                deck_kind=deck_kind,
-                params=params,
-                notes=tuple(notes),
-            )
-    notes.append(f"no collision up to n_max={n_max}")
+            break
+    else:
+        n, pair = None, None
+        notes.append(
+            f"no equivalent pair up to m_max={n_max}" if deck_kind == WILDCARD_U
+            else f"no collision up to n_max={n_max}"
+        )
     return CollisionReport(
-        n=None,
-        witnesses=(),
+        n=n,
+        witnesses=() if pair is None else (pair,),
         scanned_lengths=tuple(scanned),
         deck_kind=deck_kind,
         params=params,
@@ -493,58 +530,23 @@ def search_exact_D(
     return _scan(params, n_max, EXACT_D, floor, workers, mode, checkpoint, primes)
 
 
-def _gamma_string(code: int, m: int) -> str:
-    return "".join("Y" if (code >> (m - 1 - i)) & 1 else "X" for i in range(m))
-
-
-def search_SU(k1: int, k2: Optional[int] = None, m_max: int = 16) -> CollisionReport:
+def search_SU(
+    k1: int,
+    k2: Optional[int] = None,
+    m_max: int = 16,
+    workers: int = 1,
+    checkpoint: Optional[str] = None,
+) -> CollisionReport:
     """Smallest m with two distinct Gamma^m strings agreeing on every family count.
 
     Pair form (k2 given): family U_1(k1) u U_2(k2), needs k1 >= k2 >= 2.
     Single-depth form (k2 None): family U_1(k1), needs k1 >= 1.
 
-    Level m of one prefix tree over {X, Y} (gap 1, the family's trie tables)
-    holds the counts of every Gamma^m string; its family columns are grouped
-    exactly, and the smallest pair in a shared group (the smallest first
-    string, then its smallest partner) is confirmed with count_wildcard.
+    Each length m is one find_collision of kind WILDCARD_U over {X, Y}: the
+    family counts are hashed on the prefix tree of its trie, and the smallest
+    pair in a shared group (the smallest first string, then its smallest
+    partner) is confirmed with count_wildcard.
     """
-    if k2 is None:
-        if k1 < 1:
-            raise ValueError(f"single-depth form needs k1 >= 1, got {k1}")
-        family = enumerate_U(USetSpec.single(1, k1))
-    else:
-        family = enumerate_U(USetSpec.pair(k1, k2))  # validates k1 >= k2 >= 2
-    tables, cols = _trie_tables(family, "XY")
-    family_cols = [cols[w] for w in family]
-    levels = [_root(len(cols) + 1)]
-    scanned = []
-    for m in range(1, m_max + 1):
-        _grow(levels, m, 1, tables)
-        scanned.append(m)
-        _, inverse, sizes = np.unique(
-            levels[m][:, family_cols], axis=0, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.reshape(-1)
-        shared = np.flatnonzero(sizes[inverse] >= 2)
-        if len(shared):
-            a = int(shared[0])
-            b = int(np.flatnonzero(inverse == inverse[a])[1])
-            pair = _gamma_string(a, m), _gamma_string(b, m)
-            if any(count_wildcard(w, pair[0]) != count_wildcard(w, pair[1]) for w in family):
-                raise RuntimeError(f"family counts of {pair} disagree with count_wildcard")
-            return CollisionReport(
-                n=m,
-                witnesses=(pair,),
-                scanned_lengths=tuple(scanned),
-                deck_kind=WILDCARD_U,
-                params=(k1, k2),
-                notes=(),
-            )
-    return CollisionReport(
-        n=None,
-        witnesses=(),
-        scanned_lengths=tuple(scanned),
-        deck_kind=WILDCARD_U,
-        params=(k1, k2),
-        notes=(f"no equivalent pair up to m_max={m_max}",),
-    )
+    _family(k1, k2)  # reject a bad family before scanning
+    return _scan((k1, k2), m_max, WILDCARD_U, 1, workers, "exact", checkpoint,
+                 DEFAULT_FINGERPRINT_PRIMES)

@@ -92,6 +92,73 @@ def test_verbose_search_telemetry_stays_off_stdout():
             "(1 confirmed, 0 hash false positives); hash ") in loud.stderr
 
 
+def test_search_SU_checkpoint_and_verbose_keep_stdout(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapdeck.__file__)))
+    argv = [sys.executable, "-m", "gapdeck.cli", "search", "SU", "--k1", "4", "--k2", "3",
+            "--json"]
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    ckpt = argv + ["--checkpoint", str(tmp_path), "-v"]
+    loud = subprocess.run(ckpt, env=env, capture_output=True, text=True, timeout=60)
+    resumed = subprocess.run(ckpt, env=env, capture_output=True, text=True, timeout=60)
+    assert quiet.returncode == loud.returncode == resumed.returncode == 0
+    assert quiet.stdout == loud.stdout == resumed.stdout
+    assert quiet.stdout == (
+        '{"command": "search", "params": {"k1": 4, "k2": 3, "m_max": 16, "which": "SU"}, '
+        '"result": {"deck_kind": "WILDCARD_U", "n": 12, "notes": [], "params": {"k1": 4, "k2": 3}, '
+        '"scanned_lengths": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], '
+        '"witnesses": [["XYYXXXYXXYYX", "YXXXYXYYXXXY"]]}, "schema": "gapdeck/1"}\n')
+    assert quiet.stderr == ""
+    assert ("INFO gapdeck.search: n=12 WILDCARD_U k1=4 k2=3: 4096 strings hashed, "
+            "ranges 1 computed / 0 loaded, ") in loud.stderr
+    assert ("INFO gapdeck.search: n=12 WILDCARD_U k1=4 k2=3: 0 strings hashed, "
+            "ranges 0 computed / 1 loaded, ") in resumed.stderr
+
+
+def test_search_SU_passes_workers_and_checkpoint(capsys, tmp_path, monkeypatch):
+    import gapdeck.search as search
+
+    seen = []
+    real = search.find_collision
+
+    def spy(n, params, deck_kind, workers, mode, checkpoint, primes):
+        seen.append((workers, checkpoint))
+        return real(n, params, deck_kind, workers, mode, checkpoint, primes)
+
+    monkeypatch.setattr(search, "find_collision", spy)
+    code, _ = run(capsys, "search", "SU", "--k1", "3", "--k2", "2", "--workers", "2",
+                  "--checkpoint", str(tmp_path))
+    assert code == 0
+    assert seen == [(2, str(tmp_path))] * 7
+    assert (tmp_path / "search.log").exists()
+
+
+_DYING_WORKER = """
+import os, sys
+from gapdeck import cli, search
+
+real = search._hash_range
+
+def dying(args):
+    if args[-2] > 0:  # every range but the first: only worker processes see one
+        os._exit(1)
+    return real(args)
+
+search._hash_range = dying
+sys.exit(cli.main(["search", "G", "--s", "2", "--k", "4", "--n-max", "21", "--workers", "2"]))
+"""
+
+
+def test_dead_worker_exits_two():
+    # n=21 is the first length split into two ranges; the worker hashing the
+    # second one dies, which must end the search with exit 2, not a hang
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapdeck.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
 def test_search_not_found_exits_one(capsys):
     code, _ = run(capsys, "search", "G", "--s", "2", "--k", "2", "--n-max", "5")
     assert code == 1

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gapdeck.search import (
     EQ7_STAR,
     EXACT_D,
     FULL_B,
+    WILDCARD_U,
     CollisionReport,
     _grow,
     _hash_groups,
@@ -101,6 +103,10 @@ def test_search_G_star_values():
     assert r2.n == 8
     # the starred relation refines full-deck equality
     assert r2.n >= search_G(GapParams(2, 2), 10).n
+    r33 = search_G_star(GapParams(3, 3), 19)
+    assert r33.n == 19
+    assert ["".join(map(str, w)) for w in r33.witnesses[0]] == [
+        "0010001010010101010", "0010010000111001010"]
 
 
 def test_full_deck_collision_implies_lower_depths():
@@ -240,6 +246,49 @@ def test_lane_hashes_need_an_aligned_block():
             _lane_hashes(4, 2, 2, FULL_B, lo, hi)
 
 
+def _reference_u_lanes(code, m, family):
+    """Both hash lanes of one Gamma string from count_wildcard, in Python ints."""
+    p = "".join("XY"[(code >> (m - 1 - i)) & 1] for i in range(m))
+    counts = [count_wildcard(w, p) for w in family]
+    lanes = _hash_lanes(len(family))
+    return tuple(sum(int(a) * c for a, c in zip(row, counts)) % 2**64 for row in lanes)
+
+
+def _su_family(k1, k2):
+    if k2 is None:
+        return enumerate_U(USetSpec.single(1, k1))
+    return enumerate_U(USetSpec.pair(k1, k2))
+
+
+@st.composite
+def _su_blocks(draw):
+    # the families search_SU takes: U_1(k1), or U_1(k1) u U_2(k2)
+    k2 = draw(st.one_of(st.none(), st.integers(2, 4)))
+    k1 = draw(st.integers(1 if k2 is None else k2, 5))
+    m = draw(st.integers(1, 12))
+    b = draw(st.integers(0, min(m, 8)))
+    lo = draw(st.integers(0, (1 << (m - b)) - 1)) << b
+    return k1, k2, m, lo, lo + (1 << b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_su_blocks())
+def test_wildcard_lane_hashes_match_count_wildcard(block):
+    k1, k2, m, lo, hi = block
+    h1, h2 = _lane_hashes(m, k1, k2, WILDCARD_U, lo, hi)
+    family = _su_family(k1, k2)
+    got = [(int(a), int(b)) for a, b in zip(h1, h2)]
+    assert got == [_reference_u_lanes(c, m, family) for c in range(lo, hi)]
+
+
+def test_wildcard_lane_hashes_across_leaf_chunks():
+    m = 18  # 2^18 rows: four leaf chunks
+    h1, h2 = _lane_hashes(m, 4, 3, WILDCARD_U, 0, 1 << m)
+    family = _su_family(4, 3)
+    for code in random.Random(18).sample(range(1 << m), 200):
+        assert (int(h1[code]), int(h2[code])) == _reference_u_lanes(code, m, family)
+
+
 def test_search_SU_values():
     r = search_SU(1)
     assert (r.n, r.witnesses[0]) == (2, ("XY", "YX"))
@@ -277,6 +326,36 @@ def test_wildcard_kernel_matches_count_wildcard(family, p):
     _grow(levels, len(p), 1, tables)
     leaf = levels[len(p)][int("0" + p.translate(str.maketrans("XY", "01")), 2)]
     assert [int(leaf[cols[w]]) for w in family] == want
+
+
+def _loaded_and_computed(caplog):
+    """(computed, loaded) range counts of each find_collision INFO line."""
+    found = (re.search(r"ranges (\d+) computed / (\d+) loaded", r.getMessage())
+             for r in caplog.records)
+    return [(int(m[1]), int(m[2])) for m in found if m]
+
+
+def test_search_SU_checkpoint_resume(tmp_path, caplog):
+    fresh = search_SU(4, 3).to_record()
+    ckpt = str(tmp_path)
+    # sidecars of another family in the same directory are never loaded
+    assert search_SU(3, 2, checkpoint=ckpt).n == 7
+    caplog.set_level("INFO", logger="gapdeck.search")
+    caplog.clear()
+    assert search_SU(4, 3, checkpoint=ckpt).to_record() == fresh
+    assert _loaded_and_computed(caplog) == [(1, 0)] * 12
+    caplog.clear()
+    assert search_SU(4, 3, checkpoint=ckpt).to_record() == fresh
+    assert _loaded_and_computed(caplog) == [(0, 1)] * 12
+    # a (3, 2) sidecar copied over the (4, 3) one of the same length is
+    # rejected by its range key and recomputed
+    (mine,) = tmp_path.glob("WILDCARD_U_k14_k23_n7_*.npz")
+    (foreign,) = tmp_path.glob("WILDCARD_U_k13_k22_n7_*.npz")
+    mine.write_bytes(foreign.read_bytes())
+    caplog.clear()
+    assert search_SU(4, 3, checkpoint=ckpt).to_record() == fresh
+    assert "unusable" in caplog.text
+    assert _loaded_and_computed(caplog)[6] == (1, 0)
 
 
 def test_search_SU_open_and_validation():
