@@ -20,17 +20,17 @@ range instead of once per string. Level i holds the DP state (the pinned
 empty-prefix column 0, then the pattern counts in the deck's heap order) of
 every length-i prefix in code order; level i+1 repeats each row twice, and
 the rows ending in bit b add the prefix-count columns of their ancestor at
-level max(0, i+1-s), which enforces the gap. For decks the columns ending in
-b and their prefix columns are strided slices, so the update reads and
-writes views; a general trie (a wildcard family) uses index arrays. Each
-prefix is thus extended once, so the cost is about 2^(n+1) row updates
-rather than n per string. A code range is an aligned block with fixed top
-bits: its path is built once, then leaf chunks of at most 2^16 rows are
-expanded separately, keeping only the last s+1 levels. EQ7_STAR needs two
-trees: the R puncture (drop the last bit) is the parent level of the plain
-tree, and the L puncture (drop the first bit) is a tree over the code mod
-2^(n-1), whose parent level is the LR puncture. Hash lanes are linear in the
-counts, so the four punctures' lanes are summed.
+level max(0, i+1-s), which enforces the gap. For decks those columns are
+strided slices, so the update reads and writes views; a general trie (a
+wildcard family) uses index arrays. Only levels through max(n-s, 0) are
+materialised: hash lanes are linear in the counts, so the last s levels are
+two-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
+is about 2^(n+1-s) row updates. A code range is an aligned block with fixed
+top bits: its path is built once, then chunks of at most 2^16 strings are
+expanded separately. EQ7_STAR needs two trees: the R puncture (drop the last
+bit) is the parent level of the plain tree, whose lanes ride along to level
+n-1; the L puncture (drop the first bit) is a tree over the code mod
+2^(n-1), whose parent level is the LR puncture; their lanes are summed.
 
 search_SU is the same search over {X, Y} (deck kind WILDCARD_U): the tree runs
 at gap 1 on the trie of a wildcard family, whose J columns update on both
@@ -39,10 +39,10 @@ hashes only the depth-k slice. Its hash groups are confirmed by count_wildcard,
 the independent reference, and its ranges, checkpoints, workers and telemetry
 are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
-Hash groups are found with one argsort of the first lane; only runs of equal
-first lanes, which are rare, are split by the second. Checkpoint sidecars
-carry their range key (format version, deck kind, params, n, code range), so a
-sidecar of another search or an older format is recomputed, not trusted.
+Hash groups: a sort of the first lane shows if two agree (below a search's
+minimum none do); only then does an argsort find their runs, split by the
+second lane. Checkpoint sidecars carry a range key (format version, deck kind,
+params, n, lo:hi), so a foreign or older one is recomputed.
 """
 from __future__ import annotations
 
@@ -120,18 +120,14 @@ def _hash_lanes(width: int) -> np.ndarray:
     return rng.integers(1, 2**63, size=(2, width), dtype=np.uint64) | np.uint64(1)
 
 
-def _extend(levels: list, s: int, tables) -> np.ndarray:
-    """Level i+1 of the prefix tree from levels[0..i]: every prefix + each bit.
+def _extend(prev: np.ndarray, ready: np.ndarray, tables) -> np.ndarray:
+    """The prefix-tree level after `prev`: row r extends row r >> 1 by bit r & 1.
 
-    Row r of level i+1 extends row r >> 1 of level i by bit r & 1, and its
-    gap-ready state is the ancestor at level max(0, i+1-s), which is row
-    r >> (i+1-j) there; reshaping each half to (rows_j, rows_i/rows_j, ...)
-    lines every row up with that ancestor by broadcasting.
+    Its gap-ready state is its ancestor in `ready` (level max(0, i+1-s)), which
+    reshaping each half to (rows of ready, rest, ...) lines up by broadcasting.
     """
-    i = len(levels) - 1
-    ready = levels[max(0, i + 1 - s)]
-    rows_j, width = ready.shape
-    nxt = np.repeat(levels[i], 2, axis=0).reshape(rows_j, -1, 2, width)
+    width = prev.shape[1]
+    nxt = np.repeat(prev, 2, axis=0).reshape(len(ready), -1, 2, width)
     for b, (dst, src) in enumerate(tables):
         nxt[:, :, b, dst] += ready[:, None, src]
     return nxt.reshape(-1, width)
@@ -148,49 +144,66 @@ def _root(width: int) -> np.ndarray:
 def _grow(levels: list, stop: int, s: int, tables) -> None:
     """Extend levels through level stop, dropping levels no later step reads."""
     while len(levels) <= stop:
-        levels.append(_extend(levels, s, tables))
-        stale = len(levels) - 2 - s
+        levels.append(_extend(levels[-1], levels[max(0, len(levels) - s)], tables))
+        stale = len(levels) - 1 - s
         if stale > 0:
             levels[stale] = None
 
 
 def _prefix_tree(n: int, s: int, tables, width: int, lo: int, hi: int):
-    """Yield (offset, leaf, parent) for the DP states of codes lo..hi-1.
+    """Yield (offset, depth, levels) for chunks of the codes lo..hi-1.
 
-    The states are rows of `width` columns on the trie `tables`. leaf holds
-    the states (counts plus the pinned empty-prefix column) of the codes
-    lo+offset.. at length n, parent those of their length-(n-1) prefixes.
-    [lo, hi) must be an aligned power-of-two block: a subtree with fixed top
-    bits, whose path is built once; below it, leaf chunks of at most
-    2^_LEAF_BITS rows are expanded one at a time.
+    A chunk holds 2^(n-depth) codes from lo+offset on; levels[j] holds the DP
+    states (rows of `width` columns on the trie `tables`) of its length-j
+    prefixes through j = max(n-s, 0), one row for j <= depth, or None where no
+    lane step reads them. [lo, hi) must be an aligned power-of-two block whose
+    fixed top bits' path is built once; below it, chunks of at most
+    2^_LEAF_BITS codes (2^(_LEAF_BITS-s) rows at the last level) go one by one.
     """
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
     t = n - (size.bit_length() - 1)
+    m = max(n - s, 0)
     levels = [_root(width)]
-    for i in range(t):
+    for i in range(min(t, m)):
         bit = (lo >> (n - 1 - i)) & 1
-        levels.append(_extend(levels, s, tables)[bit : bit + 1])
+        levels.append(_extend(levels[i], levels[max(0, i + 1 - s)], tables)[bit : bit + 1])
     c = max(t, n - _LEAF_BITS)
-    _grow(levels, c, s, tables)
+    _grow(levels, min(c, m), s, tables)
     for q in range(1 << (c - t)):
         chunk = [
             None if lvl is None else lvl[q >> (c - j) : (q >> (c - j)) + 1]
             for j, lvl in enumerate(levels)
         ]
-        _grow(chunk, n, s, tables)
-        yield q << (n - c), chunk[n], chunk[n - 1]
+        _grow(chunk, m, s, tables)
+        yield q << (n - c), c, chunk
 
 
 def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
-    """(hi-lo, 2) lanes: counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes]."""
+    """(hi-lo, 2) lanes: counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes].
+
+    A matmul at the last count level max(n-s, 0), then per level a lane step
+    h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
+    columns on their src rows); parent_lanes ride along to level n-1."""
+    lanes = leaf_lanes if parent_lanes is None else np.hstack([leaf_lanes, parent_lanes])
+    lanes = np.vstack([np.zeros((1, lanes.shape[1]), dtype=np.uint64), lanes])  # pinned column 0
+    moved = np.zeros((width, len(tables), lanes.shape[1]), dtype=np.uint64)
+    for b, (dst, src) in enumerate(tables):
+        np.add.at(moved[:, b], src, lanes[dst])
     h = np.empty((hi - lo, 2), dtype=np.uint64)
-    for off, leaf, parent in _prefix_tree(n, s, tables, width, lo, hi):
-        part = leaf[:, 1:] @ leaf_lanes
-        if parent_lanes is not None:
-            part += np.repeat(parent[:, 1:] @ parent_lanes, len(leaf) // len(parent), axis=0)
-        h[off : off + len(leaf)] = part
+    for off, depth, levels in _prefix_tree(n, s, tables, width, lo, hi):
+        part = levels[-1] @ lanes
+        for i in range(len(levels) - 1, n):
+            if i == n - 1 and parent_lanes is not None:
+                part = part[:, :2] + part[:, 2:]
+            ready, c = levels[max(0, i + 1 - s)], part.shape[1]
+            add = (ready @ moved[:, :, :c].reshape(width, -1)).reshape(len(ready), 1, 2, c)
+            part = (part.reshape(len(ready), -1, 1, c) + add).reshape(-1, c)
+            if i < depth:  # level i+1 is above the chunk: keep its one prefix
+                bit = ((lo + off) >> (n - 1 - i)) & 1
+                part = part[bit : bit + 1]
+        h[off : off + len(part)] = part
     return h
 
 
@@ -324,10 +337,13 @@ def _hash_groups(h1: np.ndarray, h2: np.ndarray) -> list:
     """Positions sharing both lanes, as groups of two or more.
 
     Each group is sorted and the groups are ordered by their first position.
-    One argsort of h1 finds the runs of equal h1; only their members, which
-    are few unless decks collide en masse, are sorted again to split each run
-    by h2.
+    A sort of h1 (much cheaper than an argsort) settles the usual case, no
+    equal h1; otherwise one argsort finds the runs of equal h1, and only their
+    members, which are few unless decks collide en masse, are sorted again to
+    split each run by h2.
     """
+    if not (np.diff(np.sort(h1)) == 0).any():
+        return []
     order = np.argsort(h1)
     sh1 = h1[order]
     tie = sh1[1:] == sh1[:-1]
@@ -403,7 +419,7 @@ def find_collision(
                 log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
         pending.append((n, *params, deck_kind, lo, hi))
 
-    def store(lo, hi, r1, r2):
+    def store(i, lo, hi, r1, r2):
         h1[lo:hi] = r1
         h2[lo:hi] = r2
         if checkpoint is not None:
@@ -411,19 +427,23 @@ def find_collision(
             _save_sidecar(sidecar, _range_key(n, params, deck_kind, lo, hi), r1, r2)
             with open(logfile, "a") as fh:
                 fh.write(f"{deck_kind} {' '.join(map(str, params))} {n} {lo}:{hi} done\n")
-        log.debug("hashed range %d:%d of 2^%d", lo, hi, n)
+        if len(ranges) >= 2:  # progress, with an ETA at the pace so far
+            spent, left = time.perf_counter() - t_hash, len(pending) - i
+            log.info("n=%d %s %s: %d/%d ranges done, %.1f s elapsed, ETA %.1f s", n, deck_kind,
+                     " ".join(_tags(params, deck_kind)), len(ranges) - left, len(ranges), spent,
+                     spent / i * left)
 
     if checkpoint is not None:
         os.makedirs(checkpoint, exist_ok=True)
     if workers <= 1 or len(pending) <= 1:
-        for task in pending:
-            store(*_hash_range(task))
+        for i, task in enumerate(pending, 1):
+            store(i, *_hash_range(task))
     else:  # a worker that dies raises BrokenProcessPool here instead of hanging
         ctx = multiprocessing.get_context("fork")
         pool = concurrent.futures.ProcessPoolExecutor(min(workers, len(pending)), mp_context=ctx)
         with pool:
-            for result in pool.map(_hash_range, pending):
-                store(*result)
+            for i, result in enumerate(pool.map(_hash_range, pending), 1):
+                store(i, *result)
 
     t_sort = time.perf_counter()
     groups = _hash_groups(h1, h2)

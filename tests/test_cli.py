@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,25 @@ def test_verbose_search_telemetry_stays_off_stdout():
     assert ("INFO gapdeck.search: n=6 FULL_B s=2 k=2: 64 strings hashed, "
             "ranges 1 computed / 0 loaded, 3 hash-coincident groups "
             "(1 confirmed, 0 hash false positives); hash ") in loud.stderr
+
+
+def test_verbose_range_progress_stays_off_stdout():
+    # n=21 is the first length split into two ranges: at -v each finished
+    # range logs its progress and an ETA on stderr, beside the one summary
+    # line per length that reports ranges "computed / loaded"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapdeck.__file__)))
+    argv = [sys.executable, "-m", "gapdeck.cli", "search", "G", "--s", "3", "--k", "4",
+            "--n-max", "21", "--json"]
+    quiet = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    loud = subprocess.run(argv + ["-v"], env=env, capture_output=True, text=True, timeout=120)
+    assert quiet.returncode == loud.returncode == 1  # no collision through n=21
+    assert quiet.stdout == loud.stdout
+    assert json.loads(loud.stdout)["result"]["scanned_lengths"] == list(range(10, 22))
+    assert quiet.stderr == ""
+    progress = re.findall(r"n=(\d+) FULL_B s=3 k=4: (\d+)/(\d+) ranges done, "
+                          r"\d+\.\d s elapsed, ETA \d+\.\d s\n", loud.stderr)
+    assert progress == [("21", "1", "2"), ("21", "2", "2")]
+    assert len(re.findall(r"ranges (\d+) computed / (\d+) loaded", loud.stderr)) == 12
 
 
 def test_search_SU_checkpoint_and_verbose_keep_stdout(tmp_path):

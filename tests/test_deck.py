@@ -127,19 +127,20 @@ def test_signature_sum_identity_random():
             assert sum(sig.length_slice(ell)) == slice_bound(n, s, ell)
 
 
-def test_signature_complement_and_reversal_equivariance():
-    rng = random.Random(99)
-    params = GapParams(2, 3)
-    pats = patterns_upto(3)
-    for _ in range(40):
-        n = rng.randint(3, 30)
-        x = tuple(rng.randint(0, 1) for _ in range(n))
-        base = dict(zip(pats, signature(x, params).counts))
-        comp = dict(zip(pats, signature(complement(x), params).counts))
-        rev = dict(zip(pats, signature(reverse(x), params).counts))
-        for w in pats:
-            assert comp[complement(w)] == base[w]
-            assert rev[reverse(w)] == base[w]
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=30), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["exact", "fingerprint"]))
+def test_signature_complement_and_reversal_equivariance(x, s, k, mode):
+    # pattern w counts in x as often as c(w) in c(x) and rev(w) in rev(x)
+    x = tuple(x)
+    params = GapParams(s, k)
+    pats = patterns_upto(k)
+    base = dict(zip(pats, signature(x, params, mode).counts))
+    comp = dict(zip(pats, signature(complement(x), params, mode).counts))
+    rev = dict(zip(pats, signature(reverse(x), params, mode).counts))
+    for w in pats:
+        assert comp[complement(w)] == base[w]
+        assert rev[reverse(w)] == base[w]
 
 
 def test_signature_depth_consistency():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -14,7 +15,9 @@ from gapdeck.deck import (
     _run_pass,
     _trie_tables,
     deck_equal,
+    exact_deck_equal,
     signature,
+    verify_eq7,
 )
 from gapdeck.oracle import find_collision_naive
 from gapdeck.search import (
@@ -35,7 +38,7 @@ from gapdeck.search import (
     search_SU,
     search_exact_D,
 )
-from gapdeck.strings import Puncture, puncture
+from gapdeck.strings import Puncture, complement, puncture, reverse
 from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U, u_equiv
 
 
@@ -107,6 +110,31 @@ def test_search_G_star_values():
     assert r33.n == 19
     assert ["".join(map(str, w)) for w in r33.witnesses[0]] == [
         "0010001010010101010", "0010010000111001010"]
+
+
+_EQUAL = {
+    FULL_B: deck_equal,
+    EXACT_D: exact_deck_equal,
+    EQ7_STAR: lambda x, y, params: verify_eq7(x, y, params).all_equal,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DECK_KINDS), st.integers(1, 3), st.integers(1, 3), st.integers(0, 5))
+def test_find_collision_is_reversal_and_complement_equivariant(deck_kind, s, k, extra):
+    # x ~ y iff c(x) ~ c(y) iff rev x ~ rev y, at the same length; since the
+    # reported pair is the smallest at n, neither image pair is smaller
+    params = GapParams(s, k)
+    n = max(s * (k - 1) + 1, 2) + extra
+    pair = find_collision(n, params, deck_kind)
+    if pair is None:
+        return
+    assert _EQUAL[deck_kind](*pair, params)
+    for image in (complement, reverse):
+        fx, fy = map(image, pair)
+        assert fx != fy and len(fx) == len(fy) == n
+        assert _EQUAL[deck_kind](fx, fy, params)
+        assert tuple(sorted((fx, fy))) >= pair
 
 
 def test_full_deck_collision_implies_lower_depths():
@@ -234,10 +262,35 @@ def test_lane_hashes_match_signatures(block):
 
 @pytest.mark.parametrize("deck_kind", DECK_KINDS)
 def test_lane_hashes_across_leaf_chunks(deck_kind):
-    n, s, k = 18, 2, 3  # 2^18 rows: four leaf chunks
-    h1, h2 = _lane_hashes(n, s, k, deck_kind, 0, 1 << n)
-    for code in random.Random(18).sample(range(1 << n), 200):
-        assert (int(h1[code]), int(h2[code])) == _reference_lanes(code, n, s, k, deck_kind)
+    n, k = 18, 3  # 2^18 codes: four chunks, whose last s levels are lane steps
+    for s in (2, 3, 4):
+        h1, h2 = _lane_hashes(n, s, k, deck_kind, 0, 1 << n)
+        for code in random.Random(18 + s).sample(range(1 << n), 200):
+            assert (int(h1[code]), int(h2[code])) == _reference_lanes(code, n, s, k, deck_kind)
+
+
+@pytest.mark.parametrize("deck_kind", DECK_KINDS)
+def test_lane_hashes_when_every_level_is_a_lane_step(deck_kind):
+    # n <= s: the counts stop at the root, and every step reads it as gap-ready
+    for s in (2, 3, 4):
+        for n in range(2 if deck_kind == EQ7_STAR else 1, s + 1):
+            h1, h2 = _lane_hashes(n, s, 1, deck_kind, 0, 1 << n)
+            got = [(int(a), int(b)) for a, b in zip(h1, h2)]
+            assert got == [_reference_lanes(c, n, s, 1, deck_kind) for c in range(1 << n)]
+
+
+@pytest.mark.parametrize("n, a, b, deck_kind, digest", [
+    (16, 2, 4, FULL_B, "7457a28de72c9456a9929f783c35104c8206c888676e347b1f08b310a45cd364"),
+    (15, 2, 3, EQ7_STAR, "a1fb008fd704f1b2aa6f1d15c48970547dc7b5c835118baa2473c94fad0d31fc"),
+    (12, 2, 4, EXACT_D, "778d351f66a53afe54ab3684c77961923ede59c1e1e708daea61ed83a9e563ab"),
+    (14, 4, 3, WILDCARD_U, "ef5c73d81b83cb91e2a5df45d13dea7da7407dbd77bdb2ded39f7e1a621c2ae9"),
+])
+def test_lane_hashes_keep_their_digests(n, a, b, deck_kind, digest):
+    # checkpoint sidecars hold these lanes under an unchanged format version:
+    # a kernel change that moves any of them must bump _SIDECAR_FORMAT
+    h1, h2 = _lane_hashes(n, a, b, deck_kind, 0, 1 << n)
+    lanes = h1.astype("<u8").tobytes() + h2.astype("<u8").tobytes()
+    assert hashlib.sha256(lanes).hexdigest() == digest
 
 
 def test_lane_hashes_need_an_aligned_block():
