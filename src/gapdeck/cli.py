@@ -29,7 +29,6 @@ from gapdeck.constructions import (
     s_padded_mt,
 )
 from gapdeck.deck import (
-    DEFAULT_FINGERPRINT_PRIMES,
     ExactOverflowError,
     GapParams,
     deck_equal,
@@ -73,10 +72,12 @@ def _two_strings(tokens) -> tuple:
     return xs[0], xs[1]
 
 
-def _primes(args) -> tuple:
-    if getattr(args, "primes", None):
-        return tuple(int(p) for p in args.primes.split(","))
-    return DEFAULT_FINGERPRINT_PRIMES
+def _need(args, *flags) -> None:
+    """Refuse a missing option as a usage error: ValueError("search G needs --k")."""
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        words = (getattr(args, a, None) for a in ("command", "which", "family", "table", "op"))
+        raise ValueError(f"{' '.join(filter(None, words))} needs {', '.join(missing)}")
 
 
 def _emit(args, command: str, params: dict, result, text_lines) -> None:
@@ -143,6 +144,7 @@ def cmd_eq7(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    _need(args, "z" if args.family == "exact-family" else "k")
     if args.family == "exact-family":
         x = exact_deck_family(parse_binary(args.z), parse_binary(args.fills), args.s)
         _emit(
@@ -177,10 +179,7 @@ def cmd_construct(args) -> int:
 
 def _report_lines(report) -> list:
     lines = [f"n={report.n if report.n is not None else 'none'}"]
-    for x, y in report.witnesses:
-        fx = x if isinstance(x, str) else format_binary(x)
-        fy = y if isinstance(y, str) else format_binary(y)
-        lines.append(f"witness {fx} {fy}")
+    lines.extend(f"witness {x} {y}" for x, y in report.to_record()["witnesses"])
     if report.scanned_lengths:
         lines.append(
             f"scanned {report.scanned_lengths[0]}..{report.scanned_lengths[-1]}"
@@ -191,39 +190,29 @@ def _report_lines(report) -> list:
 
 def cmd_search(args) -> int:
     if args.which == "SU":
-        report = search_SU(args.k1, args.k2, args.m_max,
-                           workers=args.workers, checkpoint=args.checkpoint)
+        _need(args, "k1")
+        fn, scan = search_SU, (args.k1, args.k2, args.m_max)
         params = {"which": "SU", "k1": args.k1, "k2": args.k2, "m_max": args.m_max}
     else:
-        fn = {"G": search_G, "Gstar": search_G_star, "exactD": search_exact_D}[
-            args.which
-        ]
-        report = fn(
-            GapParams(args.s, args.k),
-            args.n_max,
-            workers=args.workers,
-            mode=args.mode,
-            checkpoint=args.checkpoint,
-            primes=_primes(args),
-        )
-        params = {
-            "which": args.which,
-            "s": args.s,
-            "k": args.k,
-            "n_max": args.n_max,
-            "mode": args.mode,
-        }
+        _need(args, "k")
+        fn = {"G": search_G, "Gstar": search_G_star, "exactD": search_exact_D}[args.which]
+        scan = GapParams(args.s, args.k), args.n_max
+        params = {"which": args.which, "s": args.s, "k": args.k, "n_max": args.n_max,
+                  "mode": "exact"}  # searches always confirm exactly
+    report = fn(*scan, workers=args.workers, checkpoint=args.checkpoint)
     _emit(args, "search", params, report.to_record(), _report_lines(report))
     return 0 if report.n is not None else 1
 
 
 def cmd_wildcard(args) -> int:
     if args.op == "count":
+        _need(args, "w", "p")
         value = count_wildcard(parse_wildcard(args.w), parse_wildcard(args.p))
         _emit(args, "wildcard", {"op": "count", "w": args.w, "p": args.p},
               {"count": value}, [str(value)])
         return 0
     if args.op == "uequiv":
+        _need(args, "p", "q", *(("k2",) if args.k1 is not None else ("r", "k")))
         if args.k1 is not None:
             spec = USetSpec.pair(args.k1, args.k2)
             fam = {"k1": args.k1, "k2": args.k2}
@@ -235,13 +224,14 @@ def cmd_wildcard(args) -> int:
               {"equivalent": ok}, ["true" if ok else "false"])
         return 0 if ok else 1
     if args.op == "substitute":
+        _need(args, "p", "x", "y")
         out = substitute(
             parse_wildcard(args.p), parse_binary(args.x), parse_binary(args.y)
         )
         _emit(args, "wildcard", {"op": "substitute"},
               {"string": format_binary(out)}, [format_binary(out)])
         return 0
-    # lemma3
+    _need(args, "x", "y", "p", "q", "k")  # lemma3
     inst = Lemma3Instance(
         x=parse_binary(args.x),
         y=parse_binary(args.y),
@@ -283,6 +273,7 @@ def cmd_bounds(args) -> int:
 
 def _single_bound(args) -> bounds_mod.BoundReport:
     f = args.formula
+    _need(args, *(("k1", "k2") if f in ("kappa", "dudik") else ("k",)))
     if f == "padded":
         return bounds_mod.BoundReport(
             value=bounds_mod.padded_bound(args.k), formula_id=bounds_mod.PADDED,
@@ -338,7 +329,7 @@ def cmd_oracle(args) -> int:
         _emit(args, "oracle", {"op": "equal", "s": args.s, "k": args.k},
               {"equal": eq}, ["true" if eq else "false"])
         return 0 if eq else 1
-    # collision
+    _need(args, "n")  # collision
     pair = oracle.find_collision_naive(args.n, params)
     found = pair is not None
     rec = {
@@ -411,11 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, default=None, help="SU: secondary depth")
     p.add_argument("--m-max", type=int, default=16, help="SU: largest length to scan")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--mode", choices=["exact", "fingerprint"], default="exact")
     p.add_argument("--checkpoint", default=None,
                    help="directory for the resumable range log and hash sidecars")
-    p.add_argument("--primes", default=None,
-                   help="comma-separated fingerprint moduli override")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("wildcard", parents=[common],

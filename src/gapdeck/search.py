@@ -58,9 +58,9 @@ from typing import Optional
 import numpy as np
 
 from gapdeck.deck import (
-    DEFAULT_FINGERPRINT_PRIMES,
     GapParams,
     _check_exact,
+    _check_params,
     _deck_tables,
     _punctured_counts,
     _trie_tables,
@@ -265,13 +265,13 @@ def _code_to_string(code: int, n: int, deck_kind: str):
     return "".join("XY"[b] for b in bits) if deck_kind == WILDCARD_U else bits
 
 
-def _confirm_key(x, params, deck_kind: str, mode: str, primes: tuple):
+def _confirm_key(x, params, deck_kind: str):
     """The exact object whose equality defines a collision of this kind."""
     if deck_kind == WILDCARD_U:  # the family counts, from the independent reference
         return tuple(count_wildcard(w, x) for w in _family(*params))
     if deck_kind == EQ7_STAR:  # plain, L, R and LR counts
-        return tuple(c.tobytes() for c in _punctured_counts(x, *params, mode, primes))
-    sig = signature(x, params, mode, primes)
+        return tuple(c.tobytes() for c in _punctured_counts(x, *params, "exact", ()))
+    sig = signature(x, params)
     if deck_kind == EXACT_D:
         return sig.length_slice(params.k)
     return sig.counts
@@ -362,20 +362,32 @@ def _hash_groups(h1: np.ndarray, h2: np.ndarray) -> list:
     return groups
 
 
+def _guard_params(params, deck_kind: str) -> tuple:
+    """Validate the kind and its params; return the (s, k) of the overflow guard."""
+    kinds = DECK_KINDS + (WILDCARD_U,)
+    if deck_kind not in kinds:
+        raise ValueError(f"deck_kind must be one of {kinds}, got {deck_kind!r}")
+    if deck_kind == WILDCARD_U:  # a family pattern of length l counts at most C(n, l)
+        _family(*params)
+        return 1, params[0]
+    return _check_params(params)
+
+
 def find_collision(
     n: int,
     params: GapParams,
     deck_kind: str = FULL_B,
     workers: int = 1,
-    mode: str = "exact",
     checkpoint: Optional[str] = None,
-    primes: tuple = DEFAULT_FINGERPRINT_PRIMES,
 ) -> Optional[tuple]:
     """Lexicographically smallest confirmed confusable pair at length n, or None.
 
     Enumerates all 2^n strings. params is GapParams(s, k) for the deck kinds
     and (k1, k2) for WILDCARD_U, whose pairs are strings over {X, Y} equal on
-    every count of search_SU's family. `checkpoint`, if given, is a directory: an
+    every count of search_SU's family. Hash groups are always confirmed by
+    exact recomputation: uint64 signatures (count_wildcard for WILDCARD_U),
+    whose overflow guard passes for every n <= 67, far past any length whose
+    2^n lanes fit in memory. `checkpoint`, if given, is a directory: an
     append-only text log records each finished code range and the per-range
     hash lanes are kept in .npz sidecars, so an interrupted run resumes; a
     sidecar that cannot be read or holds lanes of the wrong length is ignored
@@ -386,18 +398,12 @@ def find_collision(
     under exact confirmation) and the seconds spent hashing, sorting and
     confirming.
     """
+    s, k = _guard_params(params, deck_kind)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    kinds = DECK_KINDS + (WILDCARD_U,)
-    if deck_kind not in kinds:
-        raise ValueError(f"deck_kind must be one of {kinds}, got {deck_kind!r}")
     if deck_kind == EQ7_STAR and n < 2:
         raise ValueError("EQ7_STAR needs n >= 2 (both-sides puncture)")
-    if mode == "exact":  # a family pattern of length l counts at most C(n, l)
-        s, k = (1, params[0]) if deck_kind == WILDCARD_U else params
-        _check_exact(n, s, k)
-    elif mode != "fingerprint":
-        raise ValueError(f"mode must be 'exact' or 'fingerprint', got {mode!r}")
+    _check_exact(n, s, k)
 
     total = 1 << n
     step = 1 << _RANGE_BITS
@@ -459,7 +465,7 @@ def find_collision(
         for code in g:
             code = int(code)
             x = _code_to_string(code, n, deck_kind)
-            key = _confirm_key(x, params, deck_kind, mode, primes)
+            key = _confirm_key(x, params, deck_kind)
             seen.setdefault(key, []).append(code)
         for members in seen.values():
             if len(members) >= 2:
@@ -481,7 +487,8 @@ def find_collision(
     return _code_to_string(best[0], n, deck_kind), _code_to_string(best[1], n, deck_kind)
 
 
-def _scan(params, n_max, deck_kind, floor, workers, mode, checkpoint, primes):
+def _scan(params, n_max, deck_kind, floor, workers, checkpoint):
+    _guard_params(params, deck_kind)  # also when no length is scanned
     scanned = []
     notes = []
     if floor > 1:
@@ -491,7 +498,7 @@ def _scan(params, n_max, deck_kind, floor, workers, mode, checkpoint, primes):
         )
     for n in range(floor, n_max + 1):
         log.info("scanning n=%d (%s, %s)", n, deck_kind, ", ".join(_tags(params, deck_kind)))
-        pair = find_collision(n, params, deck_kind, workers, mode, checkpoint, primes)
+        pair = find_collision(n, params, deck_kind, workers, checkpoint)
         scanned.append(n)
         if pair is not None:
             break
@@ -512,42 +519,27 @@ def _scan(params, n_max, deck_kind, floor, workers, mode, checkpoint, primes):
 
 
 def search_G(
-    params: GapParams,
-    n_max: int,
-    workers: int = 1,
-    mode: str = "exact",
-    checkpoint: Optional[str] = None,
-    primes: tuple = DEFAULT_FINGERPRINT_PRIMES,
+    params: GapParams, n_max: int, workers: int = 1, checkpoint: Optional[str] = None
 ) -> CollisionReport:
     """Minimal length with two distinct strings sharing the whole depth-k deck."""
     floor = params.s * (params.k - 1) + 1
-    return _scan(params, n_max, FULL_B, floor, workers, mode, checkpoint, primes)
+    return _scan(params, n_max, FULL_B, floor, workers, checkpoint)
 
 
 def search_G_star(
-    params: GapParams,
-    n_max: int,
-    workers: int = 1,
-    mode: str = "exact",
-    checkpoint: Optional[str] = None,
-    primes: tuple = DEFAULT_FINGERPRINT_PRIMES,
+    params: GapParams, n_max: int, workers: int = 1, checkpoint: Optional[str] = None
 ) -> CollisionReport:
     """Minimal length for four-way (plain and one-bit-punctured) deck equality."""
     floor = max(params.s * (params.k - 1) + 1, 2)
-    return _scan(params, n_max, EQ7_STAR, floor, workers, mode, checkpoint, primes)
+    return _scan(params, n_max, EQ7_STAR, floor, workers, checkpoint)
 
 
 def search_exact_D(
-    params: GapParams,
-    n_max: int,
-    workers: int = 1,
-    mode: str = "exact",
-    checkpoint: Optional[str] = None,
-    primes: tuple = DEFAULT_FINGERPRINT_PRIMES,
+    params: GapParams, n_max: int, workers: int = 1, checkpoint: Optional[str] = None
 ) -> CollisionReport:
     """Minimal length with two distinct strings sharing the exact depth-k slice."""
     floor = params.s * (params.k - 1) + 1
-    return _scan(params, n_max, EXACT_D, floor, workers, mode, checkpoint, primes)
+    return _scan(params, n_max, EXACT_D, floor, workers, checkpoint)
 
 
 def search_SU(
@@ -567,6 +559,4 @@ def search_SU(
     pair in a shared group (the smallest first string, then its smallest
     partner) is confirmed with count_wildcard.
     """
-    _family(k1, k2)  # reject a bad family before scanning
-    return _scan((k1, k2), m_max, WILDCARD_U, 1, workers, "exact", checkpoint,
-                 DEFAULT_FINGERPRINT_PRIMES)
+    return _scan((k1, k2), m_max, WILDCARD_U, 1, workers, checkpoint)

@@ -140,9 +140,9 @@ def test_search_SU_passes_workers_and_checkpoint(capsys, tmp_path, monkeypatch):
     seen = []
     real = search.find_collision
 
-    def spy(n, params, deck_kind, workers, mode, checkpoint, primes):
+    def spy(n, params, deck_kind, workers, checkpoint):
         seen.append((workers, checkpoint))
-        return real(n, params, deck_kind, workers, mode, checkpoint, primes)
+        return real(n, params, deck_kind, workers, checkpoint)
 
     monkeypatch.setattr(search, "find_collision", spy)
     code, _ = run(capsys, "search", "SU", "--k1", "3", "--k2", "2", "--workers", "2",
@@ -177,6 +177,68 @@ def test_dead_worker_exits_two():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+def test_search_G_json_envelope_bytes(capsys):
+    code, out = run(capsys, "search", "G", "--s", "2", "--k", "2", "--n-max", "8", "--json")
+    assert code == 0
+    assert out == (
+        '{"command": "search", "params": {"k": 2, "mode": "exact", "n_max": 8, "s": 2, '
+        '"which": "G"}, "result": {"deck_kind": "FULL_B", "n": 6, "notes": ["lengths 1..2 '
+        'excluded: depth-2 slice is empty there (every pair vacuously equal), first '
+        'meaningful length is 3"], "params": {"k": 2, "s": 2}, "scanned_lengths": [3, 4, 5, 6], '
+        '"witnesses": [["001101", "010011"]]}, "schema": "gapdeck/1"}\n')
+
+
+@pytest.mark.parametrize("flags", [["--mode", "fingerprint"], ["--primes", "5"]])
+def test_search_has_no_fingerprint_options(flags):
+    # searches always confirm exactly; fingerprinting stays on equal and eq7
+    with pytest.raises(SystemExit) as err:
+        main(["search", "G", "--s", "2", "--k", "2", "--n-max", "8", *flags])
+    assert err.value.code == 2
+
+
+def test_equal_fingerprint_mode_still_works(capsys):
+    code, out = run(capsys, "equal", "010011", "001101", "--k", "2", "--mode", "fingerprint")
+    assert code == 0
+    assert out == "true\n"
+
+
+_MISSING_OPTION = [
+    (["search", "G"], "--k"),
+    (["search", "Gstar"], "--k"),
+    (["search", "exactD"], "--k"),
+    (["search", "SU"], "--k1"),
+    (["construct", "padded"], "--k"),
+    (["construct", "s-padded"], "--k"),
+    (["construct", "exact-family"], "--z"),
+    (["bounds", "single"], "--k"),
+    (["bounds", "single", "--formula", "kappa"], "--k1"),
+    (["wildcard", "count"], "--w"),
+    (["wildcard", "uequiv"], "--p"),
+    (["wildcard", "substitute"], "--p"),
+    (["oracle", "collision", "--k", "2"], "--n"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _MISSING_OPTION,
+                         ids=["_".join(argv) for argv, _ in _MISSING_OPTION])
+def test_missing_option_exits_two(capsys, argv, flag):
+    # exit 1 means "computed, and the property does not hold"; a missing
+    # option is a usage error, named on stderr
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert re.search(rf"{flag}\b", err)
+    assert "Traceback" not in err
+
+
+def test_search_bad_params_exit_two(capsys):
+    code = main(["search", "G", "--s", "0", "--k", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "s must be >= 1" in err
 
 
 def test_search_not_found_exits_one(capsys):

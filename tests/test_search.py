@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapdeck import oracle
 from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
@@ -19,7 +21,6 @@ from gapdeck.deck import (
     signature,
     verify_eq7,
 )
-from gapdeck.oracle import find_collision_naive
 from gapdeck.search import (
     DECK_KINDS,
     EQ7_STAR,
@@ -58,6 +59,23 @@ def test_find_collision_rejects_bad_arguments():
         find_collision(4, GapParams(2, 2), "NOPE")
     with pytest.raises(ValueError):
         find_collision(1, GapParams(2, 1), EQ7_STAR)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    pytest.param(search_G, (GapParams(0, 2), 5), "s", id="search_G-s0"),
+    pytest.param(find_collision, (4, GapParams(-1, 2)), "s", id="find_collision-s-1"),
+    pytest.param(search_G, (GapParams(2, 0), 5), "k", id="search_G-k0"),
+    pytest.param(search_G_star, (GapParams(2, 0), 5), "k", id="search_G_star-k0"),
+    pytest.param(search_exact_D, (GapParams(0, 3), 5), "s", id="search_exact_D-s0"),
+    pytest.param(find_collision, (3, (0, 2), WILDCARD_U), "k1", id="find_collision-SU-k1_0"),
+    pytest.param(search_G, (GapParams(2, 0), -3), "k", id="search_G-k0-no-lengths"),
+    pytest.param(search_SU, (1, 2, 0), "k1", id="search_SU-k1_1-no-lengths"),
+])
+def test_search_rejects_bad_params_before_the_guard(fn, args, name):
+    # params are checked before the length and the overflow guard, and
+    # also when the scan covers no length
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        fn(*args)
 
 
 def test_find_collision_overflow_guard():
@@ -144,14 +162,35 @@ def test_full_deck_collision_implies_lower_depths():
         assert deck_equal(x, y, GapParams(2, k))
 
 
-def test_bucketing_agrees_with_naive_pairwise():
-    for n in range(1, 9):
-        for s, k in ((1, 2), (2, 2), (2, 3), (3, 2)):
-            fast = find_collision(n, GapParams(s, k), FULL_B)
-            naive = find_collision_naive(n, GapParams(s, k))
-            assert (fast is None) == (naive is None), (n, s, k)
-            if fast is not None:
-                assert fast == naive, (n, s, k)
+def _smallest_equal_pair_naive(n, equal):
+    """The lexicographically smallest pair of distinct length-n strings that
+    `equal` accepts, by trying every pair in order."""
+    xs = list(itertools.product((0, 1), repeat=n))
+    return next(((x, y) for i, x in enumerate(xs) for y in xs[i + 1:] if equal(x, y)), None)
+
+
+def _eq7_equal_naive(x, y, params):
+    """Equal naive counts of x and y, and of their L, R and LR punctures."""
+    return all(oracle.signature_counts_naive(u, params) == oracle.signature_counts_naive(v, params)
+               for u, v in zip((x, x[1:], x[:-1], x[1:-1]), (y, y[1:], y[:-1], y[1:-1])))
+
+
+def test_bucketing_agrees_with_naive_pairwise(monkeypatch):
+    # each string's naive counts are enumerated once, however many pairs it is in
+    monkeypatch.setattr(oracle, "signature_counts_naive",
+                        functools.cache(oracle.signature_counts_naive))
+    for deck_kind in DECK_KINDS:
+        for n in range(2 if deck_kind == EQ7_STAR else 1, 9):
+            for s, k in ((1, 2), (2, 2), (2, 3), (3, 2)):
+                params = GapParams(s, k)
+                fast = find_collision(n, params, deck_kind)
+                if deck_kind == FULL_B:
+                    naive = oracle.find_collision_naive(n, params)
+                else:
+                    equal = {EXACT_D: oracle.exact_deck_equal_naive,
+                             EQ7_STAR: _eq7_equal_naive}[deck_kind]
+                    naive = _smallest_equal_pair_naive(n, lambda x, y: equal(x, y, params))
+                assert fast == naive, (deck_kind, n, s, k)
 
 
 def test_worker_count_does_not_change_reports():
