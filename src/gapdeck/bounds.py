@@ -23,25 +23,27 @@ CLOSED_FORM = "CLOSED_FORM"
 UNGAPPED_REFERENCE = "UNGAPPED_REFERENCE"
 EXACT = "EXACT"  # search-confirmed values in the summary table
 
-FORMULA_IDS = (
-    PADDED,
-    S_PADDED,
-    DUDIK_SU,
-    KAPPA,
-    COROLLARY_REC,
-    CLOSED_FORM,
-    UNGAPPED_REFERENCE,
-    EXACT,
-)
+# each formula's rounding rule: "exact" integer arithmetic, or what turns its
+# floating evaluation into the reported value ("none": the float itself)
+_ROUNDING = {
+    PADDED: "exact",
+    S_PADDED: "exact",
+    DUDIK_SU: "floor",
+    KAPPA: "exact",
+    COROLLARY_REC: "exact",
+    CLOSED_FORM: "ceil",
+    UNGAPPED_REFERENCE: "none",
+    EXACT: "exact",
+}
+FORMULA_IDS = tuple(_ROUNDING)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound: parameters, value, formula, and rounding rule."""
+    """One evaluated bound: parameters, value, formula, and its rounding rule."""
 
     value: Union[int, float]
     formula_id: str
-    rounding: str = "exact"
     k: Optional[int] = None
     s: Optional[int] = None
     k1: Optional[int] = None
@@ -51,6 +53,10 @@ class BoundReport:
     def __post_init__(self):
         if self.formula_id not in FORMULA_IDS:
             raise ValueError(f"unknown formula_id {self.formula_id!r}")
+
+    @property
+    def rounding(self) -> str:
+        return _ROUNDING[self.formula_id]
 
     def to_record(self) -> dict:
         rec = {
@@ -156,12 +162,7 @@ def best_bound(k: int) -> BoundReport:
             k=k,
             note=f"table prints 4(2^k-1); the trimmed construction gives {padded_bound(k)}",
         )
-    return BoundReport(
-        value=closed_form_bound(k),
-        formula_id=CLOSED_FORM,
-        rounding="ceil",
-        k=k,
-    )
+    return BoundReport(value=closed_form_bound(k), formula_id=CLOSED_FORM, k=k)
 
 
 def summary_table(k_min: int = 2, k_max: int = 10) -> list:
@@ -171,7 +172,4 @@ def summary_table(k_min: int = 2, k_max: int = 10) -> list:
 
 def table2(ks: tuple = (28, 29, 30, 31, 32, 33)) -> list:
     """Closed-form rows for the listed k (the six reference columns)."""
-    return [
-        BoundReport(value=closed_form_bound(k), formula_id=CLOSED_FORM, rounding="ceil", k=k)
-        for k in ks
-    ]
+    return [BoundReport(value=closed_form_bound(k), formula_id=CLOSED_FORM, k=k) for k in ks]

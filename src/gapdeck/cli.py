@@ -289,8 +289,7 @@ def _single_bound(args) -> bounds_mod.BoundReport:
     if f == "dudik":
         return bounds_mod.BoundReport(
             value=bounds_mod.dudik_su_bound(args.k1, args.k2),
-            formula_id=bounds_mod.DUDIK_SU, rounding="floor",
-            k1=args.k1, k2=args.k2)
+            formula_id=bounds_mod.DUDIK_SU, k1=args.k1, k2=args.k2)
     if f == "corollary":
         return bounds_mod.BoundReport(
             value=bounds_mod.corollary_rec_bound(args.k),
@@ -298,11 +297,11 @@ def _single_bound(args) -> bounds_mod.BoundReport:
     if f == "closed-form":
         return bounds_mod.BoundReport(
             value=bounds_mod.closed_form_bound(args.k),
-            formula_id=bounds_mod.CLOSED_FORM, rounding="ceil", k=args.k)
+            formula_id=bounds_mod.CLOSED_FORM, k=args.k)
     if f == "ungapped-ref":
         return bounds_mod.BoundReport(
             value=bounds_mod.ungapped_reference_bound(args.k),
-            formula_id=bounds_mod.UNGAPPED_REFERENCE, rounding="none", k=args.k)
+            formula_id=bounds_mod.UNGAPPED_REFERENCE, k=args.k)
     return bounds_mod.best_bound(args.k)
 
 
@@ -403,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=int, default=16, help="SU: largest length to scan")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", default=None,
-                   help="directory for the resumable range log and hash sidecars")
+                   help="directory of per-range hash sidecars, which a resume reads, "
+                        "and search.log, an append-only progress record")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("wildcard", parents=[common],

@@ -7,11 +7,15 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from gapdeck.deck import GapParams, pattern_count, patterns_upto
+from gapdeck.deck import GapParams, _check_params, pattern_count, patterns_upto
 
 
 def gapped_tuples(n: int, ell: int, s: int):
-    """Yield all index tuples 0 <= i1 < ... < i_ell < n with i_{j+1} - i_j >= s."""
+    """Yield all index tuples 0 <= i1 < ... < i_ell < n with i_{j+1} - i_j >= s.
+
+    Refuses s < 1 and ell < 1 (as the gap and depth of a deck) on first use.
+    """
+    _check_params(GapParams(s, ell))
     if s == 1:
         yield from combinations(range(n), ell)
         return
@@ -40,7 +44,7 @@ def count_gapped_naive(w: tuple, x: tuple, s: int) -> int:
 
 def signature_counts_naive(x: tuple, params: GapParams) -> tuple:
     """Exact count vector in canonical pattern order, by enumeration."""
-    s, k = params
+    s, k = _check_params(params)
     counts = [0] * pattern_count(k)
     for ell in range(1, k + 1):
         base = (1 << ell) - 2

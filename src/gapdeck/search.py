@@ -26,10 +26,10 @@ wildcard family) uses index arrays. Only levels through max(n-s, 0) are
 materialised: hash lanes are linear in the counts, so the last s levels are
 two-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
 is about 2^(n+1-s) row updates. A code range is an aligned block with fixed
-top bits: its path is built once, then chunks of at most 2^16 strings are
-expanded separately. EQ7_STAR needs two trees: the R puncture (drop the last
-bit) is the parent level of the plain tree, whose lanes ride along to level
-n-1; the L puncture (drop the first bit) is a tree over the code mod
+top bits, cut into chunks of at most 2^16 strings, each grown from the root
+along its own top bits. EQ7_STAR needs two trees: the R puncture (drop the
+last bit) is the parent level of the plain tree, whose lanes ride along to
+level n-1; the L puncture (drop the first bit) is a tree over the code mod
 2^(n-1), whose parent level is the LR puncture; their lanes are summed.
 
 search_SU is the same search over {X, Y} (deck kind WILDCARD_U): the tree runs
@@ -41,8 +41,9 @@ are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
 Hash groups: a sort of the first lane shows if two agree (below a search's
 minimum none do); only then does an argsort find their runs, split by the
-second lane. Checkpoint sidecars carry a range key (format version, deck kind,
-params, n, lo:hi), so a foreign or older one is recomputed.
+second lane. A resume reads the .npz checkpoint sidecars alone; each carries
+its range key (format version, deck kind, params, n, lo:hi), so a foreign or
+older one is recomputed. search.log is an append-only progress record.
 """
 from __future__ import annotations
 
@@ -141,43 +142,32 @@ def _root(width: int) -> np.ndarray:
     return root
 
 
-def _grow(levels: list, stop: int, s: int, tables) -> None:
-    """Extend levels through level stop, dropping levels no later step reads."""
-    while len(levels) <= stop:
-        levels.append(_extend(levels[-1], levels[max(0, len(levels) - s)], tables))
-        stale = len(levels) - 1 - s
-        if stale > 0:
-            levels[stale] = None
-
-
 def _prefix_tree(n: int, s: int, tables, width: int, lo: int, hi: int):
     """Yield (offset, depth, levels) for chunks of the codes lo..hi-1.
 
-    A chunk holds 2^(n-depth) codes from lo+offset on; levels[j] holds the DP
-    states (rows of `width` columns on the trie `tables`) of its length-j
-    prefixes through j = max(n-s, 0), one row for j <= depth, or None where no
-    lane step reads them. [lo, hi) must be an aligned power-of-two block whose
-    fixed top bits' path is built once; below it, chunks of at most
-    2^_LEAF_BITS codes (2^(_LEAF_BITS-s) rows at the last level) go one by one.
+    [lo, hi) must be an aligned power-of-two block; its aligned chunks of at
+    most 2^_LEAF_BITS codes (2^(_LEAF_BITS-s) rows at the last level) are each
+    grown from the root along their own fixed top bits. A chunk holds
+    2^(n-depth) codes from lo+offset on; levels[j] holds the DP states (rows
+    of `width` columns on the trie `tables`) of its length-j prefixes through
+    j = max(n-s, 0), one row for j <= depth, or None where no lane step reads
+    them.
     """
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
-    t = n - (size.bit_length() - 1)
-    m = max(n - s, 0)
-    levels = [_root(width)]
-    for i in range(min(t, m)):
-        bit = (lo >> (n - 1 - i)) & 1
-        levels.append(_extend(levels[i], levels[max(0, i + 1 - s)], tables)[bit : bit + 1])
-    c = max(t, n - _LEAF_BITS)
-    _grow(levels, min(c, m), s, tables)
-    for q in range(1 << (c - t)):
-        chunk = [
-            None if lvl is None else lvl[q >> (c - j) : (q >> (c - j)) + 1]
-            for j, lvl in enumerate(levels)
-        ]
-        _grow(chunk, m, s, tables)
-        yield q << (n - c), c, chunk
+    depth = n - min(size.bit_length() - 1, _LEAF_BITS)
+    for start in range(lo, hi, 1 << (n - depth)):
+        levels = [_root(width)]
+        for i in range(max(n - s, 0)):
+            nxt = _extend(levels[i], levels[max(0, i + 1 - s)], tables)
+            if i < depth:  # level i+1 is above the chunk: keep its one prefix
+                bit = (start >> (n - 1 - i)) & 1
+                nxt = nxt[bit : bit + 1]
+            levels.append(nxt)
+            if i + 1 - s > 0:  # no later step reads the gap-ready level again
+                levels[i + 1 - s] = None
+        yield start - lo, depth, levels
 
 
 def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
@@ -283,30 +273,13 @@ def _tags(params, deck_kind: str) -> list:
     return [f"{a}={v}" for a, v in zip(names, params)]
 
 
-def _checkpoint_paths(checkpoint: Optional[str], n, params, deck_kind, lo, hi):
-    logfile = os.path.join(checkpoint, "search.log")
-    tags = [t.replace("=", "") for t in _tags(params, deck_kind)]
-    sidecar = os.path.join(checkpoint, "_".join([deck_kind, *tags, f"n{n}", str(lo), str(hi)]))
-    return logfile, sidecar + ".npz"
-
-
-def _load_done(checkpoint: Optional[str]) -> set:
-    done = set()
-    if checkpoint is None:
-        return done
-    logfile = os.path.join(checkpoint, "search.log")
-    if os.path.exists(logfile):
-        with open(logfile) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) >= 2 and parts[-1] == "done":
-                    done.add(tuple(parts[:-1]))
-    return done
-
-
-def _range_key(n, params, deck_kind, lo, hi) -> str:
-    """What a sidecar's lanes are of: the format, the search and the range."""
-    return " ".join([_SIDECAR_FORMAT, deck_kind, *_tags(params, deck_kind), f"n={n}", f"{lo}:{hi}"])
+def _sidecar(checkpoint: str, n, params, deck_kind, lo, hi) -> tuple:
+    """(path, key) of a range's sidecar: the key says what its lanes are of,
+    the format, the search and the range."""
+    tags = _tags(params, deck_kind)
+    name = "_".join([deck_kind, *(tag.replace("=", "") for tag in tags), f"n{n}", str(lo), str(hi)])
+    key = " ".join([_SIDECAR_FORMAT, deck_kind, *tags, f"n={n}", f"{lo}:{hi}"])
+    return os.path.join(checkpoint, name + ".npz"), key
 
 
 def _load_sidecar(sidecar: str, key: str, size: int):
@@ -387,12 +360,13 @@ def find_collision(
     every count of search_SU's family. Hash groups are always confirmed by
     exact recomputation: uint64 signatures (count_wildcard for WILDCARD_U),
     whose overflow guard passes for every n <= 67, far past any length whose
-    2^n lanes fit in memory. `checkpoint`, if given, is a directory: an
-    append-only text log records each finished code range and the per-range
-    hash lanes are kept in .npz sidecars, so an interrupted run resumes; a
-    sidecar that cannot be read or holds lanes of the wrong length is ignored
-    and its range recomputed, and so is one whose stored range key (format
-    version, deck kind, params, n, lo:hi) is missing or names another range.
+    2^n lanes fit in memory. `checkpoint`, if given, is a directory: each
+    finished code range's hash lanes go to a .npz sidecar, and a resume reads
+    the sidecars alone. A sidecar that cannot be read, holds lanes of the
+    wrong length, or whose stored range key (format version, deck kind,
+    params, n, lo:hi) is missing or names another range is logged as
+    unusable and its range recomputed. search.log there is an append-only
+    progress record of the ranges computed, which a resume does not read.
     One INFO line reports the strings hashed, the ranges computed and loaded,
     the hash-coincident groups, the hash false positives (groups that split
     under exact confirmation) and the seconds spent hashing, sorting and
@@ -412,16 +386,15 @@ def find_collision(
     h2 = np.empty(total, dtype=np.uint64)
 
     t_hash = time.perf_counter()
-    done = _load_done(checkpoint)
     pending = []
     for lo, hi in ranges:
         if checkpoint is not None:
-            logfile, sidecar = _checkpoint_paths(checkpoint, n, params, deck_kind, lo, hi)
-            if (deck_kind, *map(str, params), str(n), f"{lo}:{hi}") in done:
-                lanes = _load_sidecar(sidecar, _range_key(n, params, deck_kind, lo, hi), hi - lo)
-                if lanes is not None:
-                    h1[lo:hi], h2[lo:hi] = lanes
-                    continue
+            sidecar, key = _sidecar(checkpoint, n, params, deck_kind, lo, hi)
+            lanes = _load_sidecar(sidecar, key, hi - lo)
+            if lanes is not None:
+                h1[lo:hi], h2[lo:hi] = lanes
+                continue
+            if os.path.exists(sidecar):
                 log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
         pending.append((n, *params, deck_kind, lo, hi))
 
@@ -429,9 +402,8 @@ def find_collision(
         h1[lo:hi] = r1
         h2[lo:hi] = r2
         if checkpoint is not None:
-            logfile, sidecar = _checkpoint_paths(checkpoint, n, params, deck_kind, lo, hi)
-            _save_sidecar(sidecar, _range_key(n, params, deck_kind, lo, hi), r1, r2)
-            with open(logfile, "a") as fh:
+            _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), r1, r2)
+            with open(os.path.join(checkpoint, "search.log"), "a") as fh:
                 fh.write(f"{deck_kind} {' '.join(map(str, params))} {n} {lo}:{hi} done\n")
         if len(ranges) >= 2:  # progress, with an ETA at the pace so far
             spent, left = time.perf_counter() - t_hash, len(pending) - i

@@ -275,10 +275,55 @@ def test_oracle_collision(capsys):
     assert out == "none\n"
 
 
+# every --formula value's --json record, with its rounding rule taken from the formula
+_SINGLE_BOUNDS = [
+    (["padded", "--k", "4"],
+     '{"formula_id": "PADDED", "k": 4, "rounding": "exact", "value": 58}'),
+    (["s-padded", "--s", "3", "--k", "4"],
+     '{"formula_id": "S_PADDED", "k": 4, "rounding": "exact", "s": 3, "value": 93}'),
+    (["kappa", "--k1", "5", "--k2", "3"],
+     '{"formula_id": "KAPPA", "k1": 5, "k2": 3, "rounding": "exact", "value": 34}'),
+    (["dudik", "--k1", "5", "--k2", "3"],
+     '{"formula_id": "DUDIK_SU", "k1": 5, "k2": 3, "rounding": "floor", "value": 286}'),
+    (["corollary", "--k", "7"],
+     '{"formula_id": "COROLLARY_REC", "k": 7, "rounding": "exact", "value": 508}'),
+    (["closed-form", "--k", "30"],
+     '{"formula_id": "CLOSED_FORM", "k": 30, "rounding": "ceil", "value": 86039831}'),
+    (["ungapped-ref", "--k", "90"],
+     '{"formula_id": "UNGAPPED_REFERENCE", "k": 90, "rounding": "none", '
+     '"value": 870308290478.2739}'),
+    (["best", "--k", "30"],
+     '{"formula_id": "CLOSED_FORM", "k": 30, "rounding": "ceil", "value": 86039831}'),
+    (["best", "--k", "3"],
+     '{"formula_id": "EXACT", "k": 3, "note": "exhaustive-search value", '
+     '"rounding": "exact", "value": 13}'),
+]
+
+
 def test_bounds_single_formula(capsys):
     code, out = run(capsys, "bounds", "single", "--formula", "padded", "--k", "4")
     assert code == 0
     assert "value=58" in out
+    for args, rec in _SINGLE_BOUNDS:
+        code, out = run(capsys, "bounds", "single", "--formula", *args, "--json")
+        assert code == 0
+        assert out == ('{"command": "bounds", "params": {"table": "single"}, '
+                       '"result": [%s], "schema": "gapdeck/1"}\n' % rec), args
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["deck", "0101", "--s", "0", "--k", "2"], "s"),
+    (["equal", "0101", "1010", "--s", "-1", "--k", "2"], "s"),
+    (["collision", "--n", "4", "--s", "2", "--k", "0"], "k"),
+], ids=["deck-s0", "equal-s-1", "collision-k0"])
+def test_oracle_bad_params_exit_two(capsys, argv, name):
+    code = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert re.search(rf"\b{name}\b", captured.err)
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exits_two(capsys):

@@ -28,11 +28,10 @@ from gapdeck.search import (
     FULL_B,
     WILDCARD_U,
     CollisionReport,
-    _grow,
     _hash_groups,
     _hash_lanes,
     _lane_hashes,
-    _root,
+    _prefix_tree,
     find_collision,
     search_G,
     search_G_star,
@@ -214,6 +213,19 @@ def test_checkpoint_resume(tmp_path):
     assert logfile.read_text().strip().splitlines() == entries
 
 
+def test_checkpoint_resumes_from_sidecars_alone(tmp_path, caplog):
+    # search.log is a progress record: without it every range still loads
+    fresh = search_G(GapParams(2, 3), 13).to_record()
+    ckpt = str(tmp_path)
+    assert search_G(GapParams(2, 3), 13, checkpoint=ckpt).to_record() == fresh
+    (tmp_path / "search.log").unlink()
+    caplog.set_level("INFO", logger="gapdeck.search")
+    assert search_G(GapParams(2, 3), 13, checkpoint=ckpt).to_record() == fresh
+    assert _loaded_and_computed(caplog) == [(0, 1)] * len(fresh["scanned_lengths"])
+    assert "unusable" not in caplog.text
+    assert not (tmp_path / "search.log").exists()  # loaded ranges are not logged again
+
+
 @pytest.mark.parametrize("damage", ["short lanes", "cut file"])
 def test_checkpoint_rejects_damaged_sidecar(tmp_path, damage):
     ckpt = str(tmp_path)
@@ -301,11 +313,16 @@ def test_lane_hashes_match_signatures(block):
 
 @pytest.mark.parametrize("deck_kind", DECK_KINDS)
 def test_lane_hashes_across_leaf_chunks(deck_kind):
-    n, k = 18, 3  # 2^18 codes: four chunks, whose last s levels are lane steps
-    for s in (2, 3, 4):
-        h1, h2 = _lane_hashes(n, s, k, deck_kind, 0, 1 << n)
-        for code in random.Random(18 + s).sample(range(1 << n), 200):
-            assert (int(h1[code]), int(h2[code])) == _reference_lanes(code, n, s, k, deck_kind)
+    # all 2^18 codes are four chunks, whose last s levels are lane steps; the
+    # block with its top bit fixed is two chunks, each grown along that bit:
+    # the shape of every range the searches hash at n >= 21
+    n, k = 18, 3
+    for lo, hi in ((0, 1 << n), (1 << (n - 1), 1 << n)):
+        for s in (2, 3, 4):
+            h1, h2 = _lane_hashes(n, s, k, deck_kind, lo, hi)
+            for code in random.Random(18 + s).sample(range(lo, hi), 200):
+                got = int(h1[code - lo]), int(h2[code - lo])
+                assert got == _reference_lanes(code, n, s, k, deck_kind)
 
 
 @pytest.mark.parametrize("deck_kind", DECK_KINDS)
@@ -409,14 +426,15 @@ def _families(draw):
 @given(_families(), st.text(alphabet="XY", max_size=10))
 def test_wildcard_kernel_matches_count_wildcard(family, p):
     # both kernels over the family's trie: one pass over p, and p's row of
-    # the prefix tree that search_SU grows
+    # the prefix tree that search_SU grows: at length len(p) + 1 and gap 1,
+    # the block p.X, p.Y is one chunk whose last level is p alone
     tables, cols = _trie_tables(family, "XY")
     want = [count_wildcard(w, p) for w in family]
     row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[1][0]
     assert [int(row[cols[w]]) for w in family] == want
-    levels = [_root(len(cols) + 1)]
-    _grow(levels, len(p), 1, tables)
-    leaf = levels[len(p)][int("0" + p.translate(str.maketrans("XY", "01")), 2)]
+    lo = 2 * int("0" + p.translate(str.maketrans("XY", "01")), 2)
+    ((_, _, levels),) = _prefix_tree(len(p) + 1, 1, tables, len(cols) + 1, lo, lo + 2)
+    (leaf,) = levels[len(p)]
     assert [int(leaf[cols[w]]) for w in family] == want
 
 
