@@ -75,9 +75,7 @@ class BoundReport:
 
 def padded_bound(k: int) -> int:
     """4(2^k - 1) - 2: length of the trimmed padded construction."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return 4 * (2**k - 1) - 2
+    return s_padded_bound(2, k)
 
 
 def s_padded_bound(s: int, k: int) -> int:

@@ -13,8 +13,9 @@ keeps plain deck equality at length 4(2^k - 1) - 2.
 s_padded_mt: the same idea for general gap s >= 2: base pair 0^s 1 0^{s-1} /
 0^{s-1} 1 0^s, recursion pads with 0^{s-1} outside and 0^s between halves.
 Untrimmed length (5s-2)2^{k-1} - 3s + 2; trimming s-1 zeros per end gives
-(5s-2)2^{k-1} - 5s + 4. The base pair and recursion are verified empirically
-by the test suite, not assumed.
+(5s-2)2^{k-1} - 5s + 4; padded_mt and padded_mt_trimmed are its s = 2 case.
+The base pair and recursion are verified empirically by the test suite, not
+assumed.
 
 exact_deck_family: interleaves a length-k seed z with arbitrary fill bits,
 one fill between consecutive seed symbols at gap 2 (s-1 fills at gap s), so
@@ -67,7 +68,7 @@ def classical_mt(k: int) -> ConstructionPair:
         raise ValueError(f"depth k must be >= 1, got {k}")
     x, y = (0, 1), (1, 0)
     for _ in range(k - 1):
-        x, y = x + y, y + x
+        x, y = concat_swap(x, y)
     return ConstructionPair(x, y, GapParams(1, k), CLASSICAL_K_DECK)
 
 
@@ -80,27 +81,16 @@ def concat_swap(x: tuple, y: tuple) -> tuple:
 
 def padded_mt(k: int) -> ConstructionPair:
     """Level-k zero-padded pair: four-way gapped deck equality, length 4(2^k - 1)."""
-    if k < 1:
-        raise ValueError(f"depth k must be >= 1, got {k}")
-    x, y = (0, 0, 1, 0), (0, 1, 0, 0)
-    for _ in range(k - 1):
-        x, y = (0,) + x + (0, 0) + y + (0,), (0,) + y + (0, 0) + x + (0,)
-    return ConstructionPair(x, y, GapParams(2, k), EQ7_FULL)
+    return s_padded_mt(2, k)
 
 
 def padded_mt_trimmed(k: int) -> ConstructionPair:
     """padded_mt with outer zeros removed: plain deck equality, length 4(2^k-1)-2."""
-    pair = padded_mt(k)
-    return ConstructionPair(
-        pair.x[1:-1], pair.y[1:-1], pair.params, GAPPED_FULL_DECK, trimmed=True
-    )
+    return s_padded_mt(2, k, trimmed=True)
 
 
 def s_padded_mt(s: int, k: int, trimmed: bool = False) -> ConstructionPair:
-    """General-gap padded pair; trimmed drops s-1 zeros from each end.
-
-    For s=2 the output is identical to padded_mt / padded_mt_trimmed.
-    """
+    """General-gap padded pair; trimmed drops s-1 zeros from each end."""
     if s < 2:
         raise ValueError(f"gap s must be >= 2 here (s=1 has no padding), got {s}")
     if k < 1:

@@ -88,6 +88,8 @@ def find_collision_naive(n: int, params: GapParams) -> tuple | None:
     Groups all 2^n strings by their enumerated signature; O(4^n)-ish, for
     small-n cross-checks of the fast search only.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     groups: dict = {}
     best = None
     for code in range(1 << n):

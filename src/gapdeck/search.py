@@ -1,13 +1,15 @@
 """Exhaustive minimal-confusable-length searches.
 
 find_collision enumerates every binary string of a given length, buckets the
-strings by a 128-bit hash of the relevant deck signature (two independent
-64-bit lanes: signature counts dotted with fixed odd multipliers, wrapping
-mod 2^64), then confirms hash coincidences by recomputing exact signatures
-scalar-wise. The confirmed witness returned is always the lexicographically
-smallest pair, independent of worker count: the code space is split into
-fixed contiguous ranges, per-range hash lanes are written into position in a
-full array, and the tie-break happens after a global sort.
+strings by a 64-bit hash lane of the relevant deck signature (its counts
+dotted with fixed odd multipliers, wrapping mod 2^64), then confirms every
+hash group by recomputing exact signatures scalar-wise. The lane is linear in
+the counts, so equal decks always share a group, and a lane coincidence costs
+one extra confirmation, never a wrong or missed witness. The confirmed witness
+returned is always the lexicographically smallest pair, independent of worker
+count: the code space is split into fixed contiguous ranges, per-range lanes
+are written into position in a full array, and the tie-break happens after a
+global sort.
 
 search_G / search_G_star / search_exact_D scan lengths upward and stop at
 the first collision. Lengths too short to carry any depth-k slice (below
@@ -23,8 +25,8 @@ the rows ending in bit b add the prefix-count columns of their ancestor at
 level max(0, i+1-s), which enforces the gap. For decks those columns are
 strided slices, so the update reads and writes views; a general trie (a
 wildcard family) uses index arrays. Only levels through max(n-s, 0) are
-materialised: hash lanes are linear in the counts, so the last s levels are
-two-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
+materialised: the lane is linear in the counts, so the last s levels are
+one-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
 is about 2^(n+1-s) row updates. A code range is an aligned block with fixed
 top bits, cut into chunks of at most 2^16 strings, each grown from the root
 along its own top bits. EQ7_STAR needs two trees: the R puncture (drop the
@@ -39,11 +41,11 @@ hashes only the depth-k slice. Its hash groups are confirmed by count_wildcard,
 the independent reference, and its ranges, checkpoints, workers and telemetry
 are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
-Hash groups: a sort of the first lane shows if two agree (below a search's
-minimum none do); only then does an argsort find their runs, split by the
-second lane. A resume reads the .npz checkpoint sidecars alone; each carries
-its range key (format version, deck kind, params, n, lo:hi), so a foreign or
-older one is recomputed. search.log is an append-only progress record.
+Hash groups: a sort of the lane shows if two strings agree (below a search's
+minimum none do); only then does an argsort find their runs. A resume reads
+the .npz checkpoint sidecars alone; each carries its range key (format
+version, deck kind, params, n, lo:hi), so a foreign or older one is
+recomputed. search.log is an append-only progress record.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)  # the binary kinds; WILDCARD_U is sear
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # leaf chunks of at most 2^16 rows bound the working set
-_SIDECAR_FORMAT = "gapdeck-lanes/2"  # format 1 sidecars held no range key
+_SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,9 @@ class CollisionReport:
 
 
 def _hash_lanes(width: int) -> np.ndarray:
-    """Two lanes of fixed odd 64-bit multipliers (deterministic)."""
+    """A lane of fixed odd 64-bit multipliers (deterministic)."""
     rng = np.random.default_rng(_HASH_SEED)
-    return rng.integers(1, 2**63, size=(2, width), dtype=np.uint64) | np.uint64(1)
+    return rng.integers(1, 2**63, size=width, dtype=np.uint64) | np.uint64(1)
 
 
 def _extend(prev: np.ndarray, ready: np.ndarray, tables) -> np.ndarray:
@@ -171,29 +173,30 @@ def _prefix_tree(n: int, s: int, tables, width: int, lo: int, hi: int):
 
 
 def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
-    """(hi-lo, 2) lanes: counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes].
+    """The (hi-lo,) lane counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes].
 
     A matmul at the last count level max(n-s, 0), then per level a lane step
     h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
-    columns on their src rows); parent_lanes ride along to level n-1."""
-    lanes = leaf_lanes if parent_lanes is None else np.hstack([leaf_lanes, parent_lanes])
+    columns on their src rows); parent_lanes ride along as a second column to
+    level n-1, where the two are summed."""
+    lanes = np.column_stack([leaf_lanes] if parent_lanes is None else [leaf_lanes, parent_lanes])
     lanes = np.vstack([np.zeros((1, lanes.shape[1]), dtype=np.uint64), lanes])  # pinned column 0
     moved = np.zeros((width, len(tables), lanes.shape[1]), dtype=np.uint64)
     for b, (dst, src) in enumerate(tables):
         np.add.at(moved[:, b], src, lanes[dst])
-    h = np.empty((hi - lo, 2), dtype=np.uint64)
+    h = np.empty(hi - lo, dtype=np.uint64)
     for off, depth, levels in _prefix_tree(n, s, tables, width, lo, hi):
         part = levels[-1] @ lanes
         for i in range(len(levels) - 1, n):
             if i == n - 1 and parent_lanes is not None:
-                part = part[:, :2] + part[:, 2:]
+                part = part[:, :1] + part[:, 1:]
             ready, c = levels[max(0, i + 1 - s)], part.shape[1]
             add = (ready @ moved[:, :, :c].reshape(width, -1)).reshape(len(ready), 1, 2, c)
             part = (part.reshape(len(ready), -1, 1, c) + add).reshape(-1, c)
             if i < depth:  # level i+1 is above the chunk: keep its one prefix
                 bit = ((lo + off) >> (n - 1 - i)) & 1
                 part = part[bit : bit + 1]
-        h[off : off + len(part)] = part
+        h[off : off + len(part)] = part[:, 0]
     return h
 
 
@@ -207,46 +210,44 @@ def _family(k1: int, k2: Optional[int]) -> list:
 
 
 def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int):
-    """Hash lanes (h1, h2) for codes lo..hi-1 at length n.
+    """The hash lane of the codes lo..hi-1 at length n.
 
     (a, b) are the search's params: (s, k) for the deck kinds, (k1, k2) for
-    WILDCARD_U. Each lane is the wrapping uint64 dot product of the kind's
-    counts with a fixed row of odd multipliers; EQ7_STAR concatenates the
+    WILDCARD_U. The lane is the wrapping uint64 dot product of the kind's
+    counts with fixed odd multipliers; EQ7_STAR concatenates the
     plain, L, R and LR punctured counts, EXACT_D keeps only the depth-k slice
     and WILDCARD_U only the family's columns of its trie.
     """
     if deck_kind == WILDCARD_U:
         family = _family(a, b)
         tables, cols = _trie_tables(family, "XY")
-        lanes = np.zeros((len(cols), 2), dtype=np.uint64)
-        lanes[[cols[w] - 1 for w in family]] = _hash_lanes(len(family)).T
-        h = _tree_hashes(n, 1, tables, len(cols) + 1, lo, hi, lanes)
-        return h[:, 0].copy(), h[:, 1].copy()
+        lanes = np.zeros(len(cols), dtype=np.uint64)
+        lanes[[cols[w] - 1 for w in family]] = _hash_lanes(len(family))
+        return _tree_hashes(n, 1, tables, len(cols) + 1, lo, hi, lanes)
     s, P = a, pattern_count(b)
     tree = s, _deck_tables(b), P + 1
     if deck_kind == EQ7_STAR:
-        plain, left, right, both = np.split(_hash_lanes(4 * P).T, 4)
+        plain, left, right, both = np.split(_hash_lanes(4 * P), 4)
         h = _tree_hashes(n, *tree, lo, hi, plain, right)
         # x[1:] is code mod 2^(n-1): one subtree, or the whole tree twice
         half = 1 << (n - 1)
         size = min(hi - lo, half)
         h += np.tile(
             _tree_hashes(n - 1, *tree, lo % half, lo % half + size, left, both),
-            ((hi - lo) // size, 1),
+            (hi - lo) // size,
         )
     elif deck_kind == EXACT_D:
-        lanes = np.zeros((P, 2), dtype=np.uint64)
-        lanes[(1 << b) - 2 :] = _hash_lanes(1 << b).T
+        lanes = np.zeros(P, dtype=np.uint64)
+        lanes[(1 << b) - 2 :] = _hash_lanes(1 << b)
         h = _tree_hashes(n, *tree, lo, hi, lanes)
     else:
-        h = _tree_hashes(n, *tree, lo, hi, _hash_lanes(P).T)
-    return h[:, 0].copy(), h[:, 1].copy()
+        h = _tree_hashes(n, *tree, lo, hi, _hash_lanes(P))
+    return h
 
 
 def _hash_range(args):
     n, a, b, deck_kind, lo, hi = args
-    h1, h2 = _lane_hashes(n, a, b, deck_kind, lo, hi)
-    return lo, hi, h1, h2
+    return lo, hi, _lane_hashes(n, a, b, deck_kind, lo, hi)
 
 
 def _code_to_string(code: int, n: int, deck_kind: str):
@@ -274,7 +275,7 @@ def _tags(params, deck_kind: str) -> list:
 
 
 def _sidecar(checkpoint: str, n, params, deck_kind, lo, hi) -> tuple:
-    """(path, key) of a range's sidecar: the key says what its lanes are of,
+    """(path, key) of a range's sidecar: the key says what its lane is of,
     the format, the search and the range."""
     tags = _tags(params, deck_kind)
     name = "_".join([deck_kind, *(tag.replace("=", "") for tag in tags), f"n{n}", str(lo), str(hi)])
@@ -283,54 +284,46 @@ def _sidecar(checkpoint: str, n, params, deck_kind, lo, hi) -> tuple:
 
 
 def _load_sidecar(sidecar: str, key: str, size: int):
-    """The (h1, h2) lanes a sidecar holds for the range `key` of `size` codes,
-    or None when the file is missing or unreadable, carries no key or another
-    one, or holds lanes of another length."""
+    """The lane a sidecar holds for the range `key` of `size` codes, or None
+    when the file is missing or unreadable, carries no key or another one, or
+    holds a lane of another length."""
     try:
         with open(sidecar, "rb") as fh, np.load(fh) as data:
             stored = str(data["key"])
-            lanes = data["h1"], data["h2"]
+            h = data["h"]
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
         return None
-    if stored != key or any(h.shape != (size,) or h.dtype != np.uint64 for h in lanes):
+    if stored != key or h.shape != (size,) or h.dtype != np.uint64:
         return None
-    return lanes
+    return h
 
 
-def _save_sidecar(sidecar: str, key: str, h1: np.ndarray, h2: np.ndarray) -> None:
-    """Write the lanes and their range key to a temporary file, then rename it
+def _save_sidecar(sidecar: str, key: str, h: np.ndarray) -> None:
+    """Write the lane and its range key to a temporary file, then rename it
     over the sidecar, so a reader never sees a half-written one."""
     tmp = sidecar + ".tmp"
     with open(tmp, "wb") as fh:  # a handle: np.savez appends .npz to a bare name
-        np.savez(fh, key=np.array(key), h1=h1, h2=h2)
+        np.savez(fh, key=np.array(key), h=h)
     os.replace(tmp, sidecar)
 
 
-def _hash_groups(h1: np.ndarray, h2: np.ndarray) -> list:
-    """Positions sharing both lanes, as groups of two or more.
+def _hash_groups(h: np.ndarray) -> list:
+    """Positions sharing a lane, as groups of two or more.
 
     Each group is sorted and the groups are ordered by their first position.
-    A sort of h1 (much cheaper than an argsort) settles the usual case, no
-    equal h1; otherwise one argsort finds the runs of equal h1, and only their
-    members, which are few unless decks collide en masse, are sorted again to
-    split each run by h2.
+    A sort of h (much cheaper than an argsort) settles the usual case, no
+    equal lanes; otherwise one argsort finds the runs of equal lanes.
     """
-    if not (np.diff(np.sort(h1)) == 0).any():
+    if not (np.diff(np.sort(h)) == 0).any():
         return []
-    order = np.argsort(h1)
-    sh1 = h1[order]
-    tie = sh1[1:] == sh1[:-1]
-    in_run = np.zeros(len(h1), dtype=bool)
+    order = np.argsort(h)
+    sh = h[order]
+    tie = sh[1:] == sh[:-1]
+    in_run = np.zeros(len(h), dtype=bool)
     in_run[1:] = tie
     in_run[:-1] |= tie
-    cand = order[in_run]
-    cand = cand[np.lexsort((h2[cand], h1[cand]))]
-    c1, c2 = h1[cand], h2[cand]
-    boundary = np.ones(len(cand), dtype=bool)
-    boundary[1:] = (c1[1:] != c1[:-1]) | (c2[1:] != c2[:-1])
-    starts = np.flatnonzero(boundary)
-    ends = np.append(starts[1:], len(cand))
-    groups = [np.sort(cand[a:b]) for a, b in zip(starts, ends) if b - a >= 2]
+    cand, c = order[in_run], sh[in_run]
+    groups = [np.sort(g) for g in np.split(cand, np.flatnonzero(c[1:] != c[:-1]) + 1)]
     groups.sort(key=lambda g: int(g[0]))
     return groups
 
@@ -357,15 +350,15 @@ def find_collision(
 
     Enumerates all 2^n strings. params is GapParams(s, k) for the deck kinds
     and (k1, k2) for WILDCARD_U, whose pairs are strings over {X, Y} equal on
-    every count of search_SU's family. Hash groups are always confirmed by
-    exact recomputation: uint64 signatures (count_wildcard for WILDCARD_U),
-    whose overflow guard passes for every n <= 67, far past any length whose
-    2^n lanes fit in memory. `checkpoint`, if given, is a directory: each
-    finished code range's hash lanes go to a .npz sidecar, and a resume reads
-    the sidecars alone. A sidecar that cannot be read, holds lanes of the
-    wrong length, or whose stored range key (format version, deck kind,
-    params, n, lo:hi) is missing or names another range is logged as
-    unusable and its range recomputed. search.log there is an append-only
+    every count of search_SU's family. The strings are bucketed by one 64-bit
+    hash lane, and every group is confirmed by exact recomputation: uint64
+    signatures (count_wildcard for WILDCARD_U), whose overflow guard passes
+    for every n <= 67, far past any length whose 2^n lanes fit in memory.
+    `checkpoint`, if given, is a directory: each finished code range's lane
+    goes to a .npz sidecar, and a resume reads the sidecars alone. A sidecar
+    that cannot be read, holds a lane of the wrong length, or whose stored
+    range key (format version, deck kind, params, n, lo:hi) is missing or
+    names another range is logged as unusable and its range recomputed. search.log there is an append-only
     progress record of the ranges computed, which a resume does not read.
     One INFO line reports the strings hashed, the ranges computed and loaded,
     the hash-coincident groups, the hash false positives (groups that split
@@ -382,8 +375,7 @@ def find_collision(
     total = 1 << n
     step = 1 << _RANGE_BITS
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    h1 = np.empty(total, dtype=np.uint64)
-    h2 = np.empty(total, dtype=np.uint64)
+    h = np.empty(total, dtype=np.uint64)
 
     t_hash = time.perf_counter()
     pending = []
@@ -392,17 +384,16 @@ def find_collision(
             sidecar, key = _sidecar(checkpoint, n, params, deck_kind, lo, hi)
             lanes = _load_sidecar(sidecar, key, hi - lo)
             if lanes is not None:
-                h1[lo:hi], h2[lo:hi] = lanes
+                h[lo:hi] = lanes
                 continue
             if os.path.exists(sidecar):
                 log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
         pending.append((n, *params, deck_kind, lo, hi))
 
-    def store(i, lo, hi, r1, r2):
-        h1[lo:hi] = r1
-        h2[lo:hi] = r2
+    def store(i, lo, hi, lanes):
+        h[lo:hi] = lanes
         if checkpoint is not None:
-            _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), r1, r2)
+            _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), lanes)
             with open(os.path.join(checkpoint, "search.log"), "a") as fh:
                 fh.write(f"{deck_kind} {' '.join(map(str, params))} {n} {lo}:{hi} done\n")
         if len(ranges) >= 2:  # progress, with an ETA at the pace so far
@@ -424,7 +415,7 @@ def find_collision(
                 store(i, *result)
 
     t_sort = time.perf_counter()
-    groups = _hash_groups(h1, h2)
+    groups = _hash_groups(h)
 
     t_confirm = time.perf_counter()
     best = None

@@ -315,7 +315,9 @@ def test_bounds_single_formula(capsys):
     (["deck", "0101", "--s", "0", "--k", "2"], "s"),
     (["equal", "0101", "1010", "--s", "-1", "--k", "2"], "s"),
     (["collision", "--n", "4", "--s", "2", "--k", "0"], "k"),
-], ids=["deck-s0", "equal-s-1", "collision-k0"])
+    (["collision", "--n", "-1", "--k", "2"], "n"),
+    (["collision", "--n", "0", "--k", "2"], "n"),
+], ids=["deck-s0", "equal-s-1", "collision-k0", "collision-n-1", "collision-n0"])
 def test_oracle_bad_params_exit_two(capsys, argv, name):
     code = main(["oracle", *argv])
     captured = capsys.readouterr()

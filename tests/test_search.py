@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapdeck import oracle
+from gapdeck import oracle, search
 from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
@@ -192,6 +192,19 @@ def test_bucketing_agrees_with_naive_pairwise(monkeypatch):
                 assert fast == naive, (deck_kind, n, s, k)
 
 
+def test_lane_only_buckets(monkeypatch):
+    # all-ones multipliers put nearly every string in one group; exact
+    # confirmation still picks the same smallest pair
+    cases = [(n, GapParams(s, k), deck_kind)
+             for deck_kind in DECK_KINDS
+             for n in range(2 if deck_kind == EQ7_STAR else 1, 9)
+             for s, k in ((1, 2), (2, 2), (2, 3), (3, 2))]
+    cases += [(m, params, WILDCARD_U) for params, m in (((4, 3), 8), ((3, 2), 7))]
+    want = [find_collision(*case, workers=1) for case in cases]
+    monkeypatch.setattr(search, "_hash_lanes", lambda width: np.ones(width, dtype=np.uint64))
+    assert [find_collision(*case, workers=1) for case in cases] == want
+
+
 def test_worker_count_does_not_change_reports():
     r1 = search_G(GapParams(2, 3), 13, workers=1)
     r4 = search_G(GapParams(2, 3), 13, workers=4)
@@ -234,16 +247,16 @@ def test_checkpoint_rejects_damaged_sidecar(tmp_path, damage):
     (sidecar,) = tmp_path.glob("*.npz")
     if damage == "short lanes":
         with np.load(sidecar) as data:
-            h1, h2 = data["h1"], data["h2"]
+            key, h = data["key"], data["h"]
         with open(sidecar, "wb") as fh:
-            np.savez(fh, h1=h1[:-1], h2=h2[:-1])
+            np.savez(fh, key=key, h=h[:-1])
     else:
         sidecar.write_bytes(sidecar.read_bytes()[:100])
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
     # the range was recomputed and its sidecar rewritten whole, with no temp file left
     assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, "search.log"]
     with np.load(sidecar) as data:
-        assert data["h1"].shape == data["h2"].shape == (256,)
+        assert data["h"].shape == (256,)
 
 
 def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
@@ -265,18 +278,39 @@ def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
     assert caplog.text == ""
 
 
-def test_hash_groups_need_both_lanes():
-    h1 = np.array([7, 3, 7, 5, 3, 7, 9, 3], dtype=np.uint64)
-    h2 = np.array([1, 4, 2, 0, 4, 1, 9, 4], dtype=np.uint64)
-    # 3, 3, 3 is one three-way group; of the three 7s only the two with
-    # h2 = 1 group, and the one with h2 = 2 stays alone
-    groups = _hash_groups(h1, h2)
-    assert [g.tolist() for g in groups] == [[0, 5], [1, 4, 7]]
-    assert _hash_groups(np.arange(5, dtype=np.uint64), np.zeros(5, dtype=np.uint64)) == []
+def test_checkpoint_recomputes_a_format_2_sidecar(tmp_path, caplog):
+    # a format-2 sidecar held two lanes, h1 and h2; its key names the old
+    # format, so it is recomputed once and rewritten in the current format
+    expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
+    (sidecar,) = tmp_path.glob("*.npz")
+    with np.load(sidecar) as data:
+        h = data["h"]
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, key=np.array("gapdeck-lanes/2 FULL_B s=2 k=2 n=8 0:256"), h1=h, h2=~h)
+    caplog.set_level("INFO", logger="gapdeck.search")
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
+    assert "unusable" in caplog.text
+    with np.load(sidecar) as data:
+        assert str(data["key"]).startswith("gapdeck-lanes/3 ")
+        assert sorted(data.files) == ["h", "key"]
+    caplog.clear()
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
+    assert _loaded_and_computed(caplog) == [(0, 1)]
+    assert "unusable" not in caplog.text
+
+
+def test_hash_groups_are_runs_of_equal_lanes():
+    h = np.array([7, 3, 7, 5, 3, 7, 9, 3], dtype=np.uint64)
+    # the 7s and the 3s are three-way groups, each sorted and ordered by its
+    # first position; 5 and 9 stay alone
+    groups = _hash_groups(h)
+    assert [g.tolist() for g in groups] == [[0, 2, 5], [1, 4, 7]]
+    assert _hash_groups(np.arange(5, dtype=np.uint64)) == []
 
 
 def _reference_lanes(code, n, s, k, deck_kind):
-    """Both hash lanes of one string from its deck signatures, in Python ints."""
+    """The hash lane of one string from its deck signatures, in Python ints."""
     x = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
     params = GapParams(s, k)
     if deck_kind == EQ7_STAR:
@@ -289,8 +323,7 @@ def _reference_lanes(code, n, s, k, deck_kind):
         counts = signature(x, params).length_slice(k)
     else:
         counts = signature(x, params).counts
-    lanes = _hash_lanes(len(counts))
-    return tuple(sum(int(a) * c for a, c in zip(row, counts)) % 2**64 for row in lanes)
+    return sum(int(a) * c for a, c in zip(_hash_lanes(len(counts)), counts)) % 2**64
 
 
 @st.composite
@@ -306,9 +339,8 @@ def _blocks(draw):
 @given(_blocks())
 def test_lane_hashes_match_signatures(block):
     s, k, deck_kind, n, lo, hi = block
-    h1, h2 = _lane_hashes(n, s, k, deck_kind, lo, hi)
-    got = [(int(a), int(b)) for a, b in zip(h1, h2)]
-    assert got == [_reference_lanes(c, n, s, k, deck_kind) for c in range(lo, hi)]
+    h = _lane_hashes(n, s, k, deck_kind, lo, hi)
+    assert h.tolist() == [_reference_lanes(c, n, s, k, deck_kind) for c in range(lo, hi)]
 
 
 @pytest.mark.parametrize("deck_kind", DECK_KINDS)
@@ -319,10 +351,9 @@ def test_lane_hashes_across_leaf_chunks(deck_kind):
     n, k = 18, 3
     for lo, hi in ((0, 1 << n), (1 << (n - 1), 1 << n)):
         for s in (2, 3, 4):
-            h1, h2 = _lane_hashes(n, s, k, deck_kind, lo, hi)
+            h = _lane_hashes(n, s, k, deck_kind, lo, hi)
             for code in random.Random(18 + s).sample(range(lo, hi), 200):
-                got = int(h1[code - lo]), int(h2[code - lo])
-                assert got == _reference_lanes(code, n, s, k, deck_kind)
+                assert int(h[code - lo]) == _reference_lanes(code, n, s, k, deck_kind)
 
 
 @pytest.mark.parametrize("deck_kind", DECK_KINDS)
@@ -330,23 +361,29 @@ def test_lane_hashes_when_every_level_is_a_lane_step(deck_kind):
     # n <= s: the counts stop at the root, and every step reads it as gap-ready
     for s in (2, 3, 4):
         for n in range(2 if deck_kind == EQ7_STAR else 1, s + 1):
-            h1, h2 = _lane_hashes(n, s, 1, deck_kind, 0, 1 << n)
-            got = [(int(a), int(b)) for a, b in zip(h1, h2)]
-            assert got == [_reference_lanes(c, n, s, 1, deck_kind) for c in range(1 << n)]
+            h = _lane_hashes(n, s, 1, deck_kind, 0, 1 << n)
+            assert h.tolist() == [_reference_lanes(c, n, s, 1, deck_kind) for c in range(1 << n)]
 
 
 @pytest.mark.parametrize("n, a, b, deck_kind, digest", [
-    (16, 2, 4, FULL_B, "7457a28de72c9456a9929f783c35104c8206c888676e347b1f08b310a45cd364"),
-    (15, 2, 3, EQ7_STAR, "a1fb008fd704f1b2aa6f1d15c48970547dc7b5c835118baa2473c94fad0d31fc"),
-    (12, 2, 4, EXACT_D, "778d351f66a53afe54ab3684c77961923ede59c1e1e708daea61ed83a9e563ab"),
-    (14, 4, 3, WILDCARD_U, "ef5c73d81b83cb91e2a5df45d13dea7da7407dbd77bdb2ded39f7e1a621c2ae9"),
+    pytest.param(16, 2, 4, FULL_B,
+                 "4c9994d7aa0f231d7898183e60f3bd3238c186950d9101ed606c269e95d2772a",
+                 id="16-2-4-FULL_B"),
+    pytest.param(15, 2, 3, EQ7_STAR,
+                 "6fd68e4659fc63f654a94fef127f1cbb271ba88e7de6fa008c228e6b22372463",
+                 id="15-2-3-EQ7_STAR"),
+    pytest.param(12, 2, 4, EXACT_D,
+                 "7ebcb113dd18335c190e96c2fc800d298a4181341b6a986cb504317ad6ce61ae",
+                 id="12-2-4-EXACT_D"),
+    pytest.param(14, 4, 3, WILDCARD_U,
+                 "de135162370442f667aa8df3da2f4feaa892500b6be5b39e53ed805bf8c05b0a",
+                 id="14-4-3-WILDCARD_U"),
 ])
 def test_lane_hashes_keep_their_digests(n, a, b, deck_kind, digest):
     # checkpoint sidecars hold these lanes under an unchanged format version:
     # a kernel change that moves any of them must bump _SIDECAR_FORMAT
-    h1, h2 = _lane_hashes(n, a, b, deck_kind, 0, 1 << n)
-    lanes = h1.astype("<u8").tobytes() + h2.astype("<u8").tobytes()
-    assert hashlib.sha256(lanes).hexdigest() == digest
+    h = _lane_hashes(n, a, b, deck_kind, 0, 1 << n)
+    assert hashlib.sha256(h.astype("<u8").tobytes()).hexdigest() == digest
 
 
 def test_lane_hashes_need_an_aligned_block():
@@ -356,11 +393,10 @@ def test_lane_hashes_need_an_aligned_block():
 
 
 def _reference_u_lanes(code, m, family):
-    """Both hash lanes of one Gamma string from count_wildcard, in Python ints."""
+    """The hash lane of one Gamma string from count_wildcard, in Python ints."""
     p = "".join("XY"[(code >> (m - 1 - i)) & 1] for i in range(m))
     counts = [count_wildcard(w, p) for w in family]
-    lanes = _hash_lanes(len(family))
-    return tuple(sum(int(a) * c for a, c in zip(row, counts)) % 2**64 for row in lanes)
+    return sum(int(a) * c for a, c in zip(_hash_lanes(len(family)), counts)) % 2**64
 
 
 def _su_family(k1, k2):
@@ -384,18 +420,17 @@ def _su_blocks(draw):
 @given(_su_blocks())
 def test_wildcard_lane_hashes_match_count_wildcard(block):
     k1, k2, m, lo, hi = block
-    h1, h2 = _lane_hashes(m, k1, k2, WILDCARD_U, lo, hi)
+    h = _lane_hashes(m, k1, k2, WILDCARD_U, lo, hi)
     family = _su_family(k1, k2)
-    got = [(int(a), int(b)) for a, b in zip(h1, h2)]
-    assert got == [_reference_u_lanes(c, m, family) for c in range(lo, hi)]
+    assert h.tolist() == [_reference_u_lanes(c, m, family) for c in range(lo, hi)]
 
 
 def test_wildcard_lane_hashes_across_leaf_chunks():
     m = 18  # 2^18 rows: four leaf chunks
-    h1, h2 = _lane_hashes(m, 4, 3, WILDCARD_U, 0, 1 << m)
+    h = _lane_hashes(m, 4, 3, WILDCARD_U, 0, 1 << m)
     family = _su_family(4, 3)
     for code in random.Random(18).sample(range(1 << m), 200):
-        assert (int(h1[code]), int(h2[code])) == _reference_u_lanes(code, m, family)
+        assert int(h[code]) == _reference_u_lanes(code, m, family)
 
 
 def test_search_SU_values():
