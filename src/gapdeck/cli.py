@@ -271,38 +271,27 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# --formula: (function, formula_id, its options in argument order); "best"
+# picks the summary-table row, so its function returns the whole report
+_FORMULAS = {
+    "padded": (bounds_mod.padded_bound, bounds_mod.PADDED, ("k",)),
+    "s-padded": (bounds_mod.s_padded_bound, bounds_mod.S_PADDED, ("s", "k")),
+    "kappa": (bounds_mod.kappa, bounds_mod.KAPPA, ("k1", "k2")),
+    "dudik": (bounds_mod.dudik_su_bound, bounds_mod.DUDIK_SU, ("k1", "k2")),
+    "corollary": (bounds_mod.corollary_rec_bound, bounds_mod.COROLLARY_REC, ("k",)),
+    "closed-form": (bounds_mod.closed_form_bound, bounds_mod.CLOSED_FORM, ("k",)),
+    "ungapped-ref": (bounds_mod.ungapped_reference_bound, bounds_mod.UNGAPPED_REFERENCE, ("k",)),
+    "best": (bounds_mod.best_bound, None, ("k",)),
+}
+
+
 def _single_bound(args) -> bounds_mod.BoundReport:
-    f = args.formula
-    _need(args, *(("k1", "k2") if f in ("kappa", "dudik") else ("k",)))
-    if f == "padded":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.padded_bound(args.k), formula_id=bounds_mod.PADDED,
-            k=args.k)
-    if f == "s-padded":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.s_padded_bound(args.s, args.k),
-            formula_id=bounds_mod.S_PADDED, s=args.s, k=args.k)
-    if f == "kappa":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.kappa(args.k1, args.k2), formula_id=bounds_mod.KAPPA,
-            k1=args.k1, k2=args.k2)
-    if f == "dudik":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.dudik_su_bound(args.k1, args.k2),
-            formula_id=bounds_mod.DUDIK_SU, k1=args.k1, k2=args.k2)
-    if f == "corollary":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.corollary_rec_bound(args.k),
-            formula_id=bounds_mod.COROLLARY_REC, k=args.k)
-    if f == "closed-form":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.closed_form_bound(args.k),
-            formula_id=bounds_mod.CLOSED_FORM, k=args.k)
-    if f == "ungapped-ref":
-        return bounds_mod.BoundReport(
-            value=bounds_mod.ungapped_reference_bound(args.k),
-            formula_id=bounds_mod.UNGAPPED_REFERENCE, k=args.k)
-    return bounds_mod.best_bound(args.k)
+    fn, formula_id, names = _FORMULAS[args.formula]
+    _need(args, *names)
+    values = {name: getattr(args, name) for name in names}
+    if formula_id is None:
+        return fn(*values.values())
+    return bounds_mod.BoundReport(value=fn(*values.values()), formula_id=formula_id, **values)
 
 
 def cmd_oracle(args) -> int:
@@ -424,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common],
                        help="closed-form and recursive upper bounds")
     p.add_argument("table", choices=["single", "table1", "table2"])
-    p.add_argument("--formula", default="best",
-                   choices=["padded", "s-padded", "kappa", "dudik", "corollary",
-                            "closed-form", "ungapped-ref", "best"])
+    p.add_argument("--formula", default="best", choices=list(_FORMULAS))
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--k1", type=int)

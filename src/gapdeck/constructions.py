@@ -50,17 +50,6 @@ class ConstructionPair:
         if self.x == self.y:
             raise ValueError("construction pairs must be distinct")
 
-    def to_record(self) -> dict:
-        return {
-            "x": "".join("01"[b] for b in self.x),
-            "y": "".join("01"[b] for b in self.y),
-            "s": self.params.s,
-            "k": self.params.k,
-            "length": len(self.x),
-            "claimed_property": self.claimed_property,
-            "trimmed": self.trimmed,
-        }
-
 
 def classical_mt(k: int) -> ConstructionPair:
     """Level-k swap-concatenation pair: classical k-deck equal, length 2^k."""

@@ -241,8 +241,7 @@ def count_gapped(w: tuple, x: tuple, s: int) -> int:
     """
     if len(w) == 0:
         raise ValueError("empty patterns are excluded from decks")
-    if s < 1:
-        raise ValueError(f"gap s must be >= 1, got {s}")
+    _check_params((s, len(w)))
     w = tuple(w)
     _check_exact(len(x), s, len(w))
     tables, cols = _trie_tables([w])
@@ -297,7 +296,7 @@ def deck_equal(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> bo
 
 def exact_deck_equal(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> bool:
     """Whether only the length-exactly-k slices (the exact decks D^(k)) agree."""
-    _check_params(params)
+    params = _check_params(params)
     sx = signature(x, params, mode)
     sy = signature(y, params, mode)
     return sx.length_slice(params.k) == sy.length_slice(params.k)

@@ -41,10 +41,10 @@ hashes only the depth-k slice. Its hash groups are confirmed by count_wildcard,
 the independent reference, and its ranges, checkpoints, workers and telemetry
 are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
-Hash groups: a sort of the lane shows if two strings agree (below a search's
-minimum none do); only then does an argsort find their runs. A resume reads
-the .npz checkpoint sidecars alone; each carries its range key (format
-version, deck kind, params, n, lo:hi), so a foreign or older one is
+Hash groups: tied lanes are read off one sort of the lane (below a search's
+minimum there are none), and one pass over the lane finds their positions. A
+resume reads the .npz checkpoint sidecars alone; each carries its range key
+(format version, deck kind, params, n, lo:hi), so a foreign or older one is
 recomputed. search.log is an append-only progress record.
 """
 from __future__ import annotations
@@ -311,31 +311,42 @@ def _hash_groups(h: np.ndarray) -> list:
     """Positions sharing a lane, as groups of two or more.
 
     Each group is sorted and the groups are ordered by their first position.
-    A sort of h (much cheaper than an argsort) settles the usual case, no
-    equal lanes; otherwise one argsort finds the runs of equal lanes.
+    One sort of h shows the tied lanes (below a search's minimum there are
+    none). One pass over h looks each lane's top bits up in a table of about
+    one bool per lane, marked at the tied lanes' top bits, and np.isin checks
+    only those few candidates exactly: however many lanes tie, no other
+    full-size sort or per-value pass over h runs. The positions left are
+    split into runs of equal lanes.
     """
-    if not (np.diff(np.sort(h)) == 0).any():
+    s = np.sort(h)
+    tied = np.unique(s[1:][s[1:] == s[:-1]])
+    del s  # free the sorted copy before the membership pass
+    if not len(tied):
         return []
-    order = np.argsort(h)
-    sh = h[order]
-    tie = sh[1:] == sh[:-1]
-    in_run = np.zeros(len(h), dtype=bool)
-    in_run[1:] = tie
-    in_run[:-1] |= tie
-    cand, c = order[in_run], sh[in_run]
-    groups = [np.sort(g) for g in np.split(cand, np.flatnonzero(c[1:] != c[:-1]) + 1)]
+    bits = (len(h) - 1).bit_length()
+    shift = np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[tied >> shift] = True
+    # as int64 (every value is below 2^bits), so np.take makes no index copy
+    pos = np.flatnonzero(np.take(table, (h >> shift).view(np.int64)))
+    pos = pos[np.isin(h[pos], tied)]
+    lanes = h[pos]
+    order = np.argsort(lanes, kind="stable")  # positions stay ascending in each run
+    pos, lanes = pos[order], lanes[order]
+    groups = np.split(pos, np.flatnonzero(lanes[1:] != lanes[:-1]) + 1)
     groups.sort(key=lambda g: int(g[0]))
     return groups
 
 
 def _guard_params(params, deck_kind: str) -> tuple:
-    """Validate the kind and its params; return the (s, k) of the overflow guard."""
+    """Validate the kind and its params; return the params, GapParams(s, k)
+    for the deck kinds and (k1, k2) for WILDCARD_U."""
     kinds = DECK_KINDS + (WILDCARD_U,)
     if deck_kind not in kinds:
         raise ValueError(f"deck_kind must be one of {kinds}, got {deck_kind!r}")
-    if deck_kind == WILDCARD_U:  # a family pattern of length l counts at most C(n, l)
+    if deck_kind == WILDCARD_U:
         _family(*params)
-        return 1, params[0]
+        return params
     return _check_params(params)
 
 
@@ -365,12 +376,13 @@ def find_collision(
     under exact confirmation) and the seconds spent hashing, sorting and
     confirming.
     """
-    s, k = _guard_params(params, deck_kind)
+    params = _guard_params(params, deck_kind)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if deck_kind == EQ7_STAR and n < 2:
         raise ValueError("EQ7_STAR needs n >= 2 (both-sides puncture)")
-    _check_exact(n, s, k)
+    # a family pattern of length l <= k1 counts at most C(n, l), as at gap 1, depth k1
+    _check_exact(n, *((1, params[0]) if deck_kind == WILDCARD_U else params))
 
     total = 1 << n
     step = 1 << _RANGE_BITS
@@ -450,8 +462,11 @@ def find_collision(
     return _code_to_string(best[0], n, deck_kind), _code_to_string(best[1], n, deck_kind)
 
 
-def _scan(params, n_max, deck_kind, floor, workers, checkpoint):
-    _guard_params(params, deck_kind)  # also when no length is scanned
+def _scan(params, n_max, deck_kind, workers, checkpoint):
+    params = _guard_params(params, deck_kind)  # also when no length is scanned
+    floor = 1 if deck_kind == WILDCARD_U else params.s * (params.k - 1) + 1
+    if deck_kind == EQ7_STAR:  # the both-sides puncture needs n >= 2
+        floor = max(floor, 2)
     scanned = []
     notes = []
     if floor > 1:
@@ -485,24 +500,21 @@ def search_G(
     params: GapParams, n_max: int, workers: int = 1, checkpoint: Optional[str] = None
 ) -> CollisionReport:
     """Minimal length with two distinct strings sharing the whole depth-k deck."""
-    floor = params.s * (params.k - 1) + 1
-    return _scan(params, n_max, FULL_B, floor, workers, checkpoint)
+    return _scan(params, n_max, FULL_B, workers, checkpoint)
 
 
 def search_G_star(
     params: GapParams, n_max: int, workers: int = 1, checkpoint: Optional[str] = None
 ) -> CollisionReport:
     """Minimal length for four-way (plain and one-bit-punctured) deck equality."""
-    floor = max(params.s * (params.k - 1) + 1, 2)
-    return _scan(params, n_max, EQ7_STAR, floor, workers, checkpoint)
+    return _scan(params, n_max, EQ7_STAR, workers, checkpoint)
 
 
 def search_exact_D(
     params: GapParams, n_max: int, workers: int = 1, checkpoint: Optional[str] = None
 ) -> CollisionReport:
     """Minimal length with two distinct strings sharing the exact depth-k slice."""
-    floor = params.s * (params.k - 1) + 1
-    return _scan(params, n_max, EXACT_D, floor, workers, checkpoint)
+    return _scan(params, n_max, EXACT_D, workers, checkpoint)
 
 
 def search_SU(
@@ -522,4 +534,4 @@ def search_SU(
     pair in a shared group (the smallest first string, then its smallest
     partner) is confirmed with count_wildcard.
     """
-    return _scan((k1, k2), m_max, WILDCARD_U, 1, workers, checkpoint)
+    return _scan((k1, k2), m_max, WILDCARD_U, workers, checkpoint)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-BinaryString = tuple  # tuple of 0/1 ints
 _WILDCARD_ALPHABET = frozenset("XYJ")
 
 

@@ -129,6 +129,23 @@ def test_search_G_star_values():
         "0010001010010101010", "0010010000111001010"]
 
 
+@pytest.mark.parametrize("fn, n_max", [(search_G, 6), (search_G_star, 8), (search_exact_D, 4)],
+                         ids=["G", "Gstar", "exactD"])
+def test_searches_take_plain_tuple_params(fn, n_max):
+    # an (s, k) tuple is normalised to GapParams once, so the report (and its
+    # record's {"s", "k"} params) is the one a GapParams call gives
+    report = fn((2, 2), n_max)
+    assert report == fn(GapParams(2, 2), n_max)
+    assert report.n is not None
+    assert report.to_record()["params"] == {"s": 2, "k": 2}
+
+
+def test_exact_deck_equal_takes_plain_tuple_params():
+    for x, y in [((0, 0, 1, 1), (0, 1, 0, 1)), ((0, 0, 1, 1), (0, 0, 0, 1))]:
+        for params in [(2, 1), (2, 2), (1, 3)]:
+            assert exact_deck_equal(x, y, params) == exact_deck_equal(x, y, GapParams(*params))
+
+
 _EQUAL = {
     FULL_B: deck_equal,
     EXACT_D: exact_deck_equal,
@@ -239,24 +256,37 @@ def test_checkpoint_resumes_from_sidecars_alone(tmp_path, caplog):
     assert not (tmp_path / "search.log").exists()  # loaded ranges are not logged again
 
 
-@pytest.mark.parametrize("damage", ["short lanes", "cut file"])
-def test_checkpoint_rejects_damaged_sidecar(tmp_path, damage):
+@pytest.mark.parametrize("damage", ["short lanes", "cut file", "flipped byte"])
+def test_checkpoint_rejects_damaged_sidecar(tmp_path, caplog, damage):
     ckpt = str(tmp_path)
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
     (sidecar,) = tmp_path.glob("*.npz")
+    data = sidecar.read_bytes()
     if damage == "short lanes":
-        with np.load(sidecar) as data:
-            key, h = data["key"], data["h"]
+        with np.load(sidecar) as arrays:
+            key, h = arrays["key"], arrays["h"]
         with open(sidecar, "wb") as fh:
             np.savez(fh, key=key, h=h[:-1])
-    else:
-        sidecar.write_bytes(sidecar.read_bytes()[:100])
+    elif damage == "cut file":
+        sidecar.write_bytes(data[:100])
+    else:  # one byte in the middle of the stored lane: only the zip's CRC-32 sees it
+        mid = len(data) // 2
+        assert data.index(b"h.npy") < mid < data.rindex(b"key.npy")
+        sidecar.write_bytes(data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1 :])
+    caplog.set_level("INFO", logger="gapdeck.search")
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
+    assert "unusable" in caplog.text
+    assert _loaded_and_computed(caplog) == [(1, 0)]
     # the range was recomputed and its sidecar rewritten whole, with no temp file left
     assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, "search.log"]
-    with np.load(sidecar) as data:
-        assert data["h"].shape == (256,)
+    with np.load(sidecar) as arrays:
+        assert arrays["h"].shape == (256,)
+    # and the rewritten sidecar loads cleanly on the next resume
+    caplog.clear()
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
+    assert "unusable" not in caplog.text
+    assert _loaded_and_computed(caplog) == [(0, 1)]
 
 
 def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
@@ -307,6 +337,29 @@ def test_hash_groups_are_runs_of_equal_lanes():
     groups = _hash_groups(h)
     assert [g.tolist() for g in groups] == [[0, 2, 5], [1, 4, 7]]
     assert _hash_groups(np.arange(5, dtype=np.uint64)) == []
+    top = 2**64 - 1
+    for lanes in ([], [9], [9, 8], [9, 9], [4] * 7, [top, 0, top, 1, 0, top], [0, top]):
+        h = np.array(lanes, dtype=np.uint64)
+        assert [g.tolist() for g in _hash_groups(h)] == _dict_groups(h), lanes
+    # hundreds of tied values, the extremes among them: the top-bits table
+    # passes false candidates, and np.isin takes its sort method on them
+    rng = np.random.default_rng(2024)
+    pool = np.concatenate([np.array([0, top], dtype=np.uint64),
+                           rng.integers(1, top, size=20000, dtype=np.uint64)])
+    h = rng.choice(pool, size=4000)
+    assert h.dtype == np.uint64
+    h[[5, 50, 500]], h[[6, 60]] = 0, top
+    expected = _dict_groups(h)
+    assert len(expected) > 300
+    assert [g.tolist() for g in _hash_groups(h)] == expected
+
+
+def _dict_groups(h):
+    """The positions of each lane shared by two or more, ordered by first position."""
+    buckets = {}
+    for i, lane in enumerate(h.tolist()):
+        buckets.setdefault(lane, []).append(i)
+    return sorted((g for g in buckets.values() if len(g) >= 2), key=lambda g: g[0])
 
 
 def _reference_lanes(code, n, s, k, deck_kind):
