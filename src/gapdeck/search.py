@@ -312,24 +312,18 @@ def _hash_groups(h: np.ndarray) -> list:
 
     Each group is sorted and the groups are ordered by their first position.
     One sort of h shows the tied lanes (below a search's minimum there are
-    none). One pass over h looks each lane's top bits up in a table of about
-    one bool per lane, marked at the tied lanes' top bits, and np.isin checks
-    only those few candidates exactly: however many lanes tie, no other
-    full-size sort or per-value pass over h runs. The positions left are
-    split into runs of equal lanes.
+    none), one np.isin pass over h finds their positions, and only those few
+    positions are split into runs of equal lanes.
     """
     s = np.sort(h)
-    tied = np.unique(s[1:][s[1:] == s[:-1]])
+    tied = s[1:][s[1:] == s[:-1]]
     del s  # free the sorted copy before the membership pass
     if not len(tied):
         return []
-    bits = (len(h) - 1).bit_length()
-    shift = np.uint64(64 - bits)
-    table = np.zeros(1 << bits, dtype=bool)
-    table[tied >> shift] = True
-    # as int64 (every value is below 2^bits), so np.take makes no index copy
-    pos = np.flatnonzero(np.take(table, (h >> shift).view(np.int64)))
-    pos = pos[np.isin(h[pos], tied)]
+    # each value once: np.isin makes one pass over h per value, or sorts h
+    # itself once the values are many
+    tied = tied[np.concatenate(([True], tied[1:] != tied[:-1]))]
+    pos = np.flatnonzero(np.isin(h, tied))
     lanes = h[pos]
     order = np.argsort(lanes, kind="stable")  # positions stay ascending in each run
     pos, lanes = pos[order], lanes[order]

@@ -341,8 +341,8 @@ def test_hash_groups_are_runs_of_equal_lanes():
     for lanes in ([], [9], [9, 8], [9, 9], [4] * 7, [top, 0, top, 1, 0, top], [0, top]):
         h = np.array(lanes, dtype=np.uint64)
         assert [g.tolist() for g in _hash_groups(h)] == _dict_groups(h), lanes
-    # hundreds of tied values, the extremes among them: the top-bits table
-    # passes false candidates, and np.isin takes its sort method on them
+    # hundreds of tied values, the extremes among them: np.isin takes its sort
+    # method (the inputs above take its table and per-value methods)
     rng = np.random.default_rng(2024)
     pool = np.concatenate([np.array([0, top], dtype=np.uint64),
                            rng.integers(1, top, size=20000, dtype=np.uint64)])
