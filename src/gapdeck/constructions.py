@@ -31,7 +31,6 @@ from gapdeck.deck import GapParams
 CLASSICAL_K_DECK = "classical_k_deck"
 EQ7_FULL = "eq7_full"
 GAPPED_FULL_DECK = "gapped_full_deck"
-EXACT_DECK_ONLY = "exact_deck_only"
 
 
 @dataclass(frozen=True)

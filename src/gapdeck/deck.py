@@ -372,7 +372,6 @@ def fingerprint(sig: DeckSignature, primes: tuple = DEFAULT_FINGERPRINT_PRIMES) 
     """Reduce an EXACT signature modulo each prime (deterministic homomorphism)."""
     if sig.mode != "exact":
         raise ValueError("fingerprint expects an EXACT-mode signature")
-    if not primes:
-        raise ValueError("need at least one prime")
+    primes = _moduli("fingerprint", primes)
     counts = tuple(tuple(c % p for p in primes) for c in sig.counts)
-    return DeckSignature(sig.params, "fingerprint", sig.source_length, counts, tuple(primes))
+    return DeckSignature(sig.params, "fingerprint", sig.source_length, counts, primes)

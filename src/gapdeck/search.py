@@ -15,7 +15,8 @@ search_G / search_G_star / search_exact_D scan lengths upward and stop at
 the first collision. Lengths too short to carry any depth-k slice (below
 s*(k-1)+1) make every pair of strings vacuously equal at depth k; those
 lengths are excluded from the scan and listed in the report notes instead of
-being reported as collisions.
+being reported as collisions, as is length 1 of search_G_star at depth 1
+(its both-sides puncture needs n >= 2).
 
 The hashing runs the deck engine's recurrence over the prefix tree of a code
 range instead of once per string. Level i holds the DP state (the pinned
@@ -29,10 +30,10 @@ materialised: the lane is linear in the counts, so the last s levels are
 one-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
 is about 2^(n+1-s) row updates. A code range is an aligned block with fixed
 top bits, cut into chunks of at most 2^16 strings, each grown from the root
-along its own top bits. EQ7_STAR needs two trees: the R puncture (drop the
-last bit) is the parent level of the plain tree, whose lanes ride along to
-level n-1; the L puncture (drop the first bit) is a tree over the code mod
-2^(n-1), whose parent level is the LR puncture; their lanes are summed.
+along its own top bits. EQ7_STAR sums two trees, the plain one and one over
+the code mod 2^(n-1) (the L puncture: drop the first bit). Each folds its
+parent-level puncture (R, LR) into one summed lane vector through level n-1,
+and its last step adds its own lanes alone.
 
 search_SU is the same search over {X, Y} (deck kind WILDCARD_U): the tree runs
 at gap 1 on the trie of a wildcard family, whose J columns update on both
@@ -177,26 +178,26 @@ def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> 
 
     A matmul at the last count level max(n-s, 0), then per level a lane step
     h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
-    columns on their src rows); parent_lanes ride along as a second column to
-    level n-1, where the two are summed."""
-    lanes = np.column_stack([leaf_lanes] if parent_lanes is None else [leaf_lanes, parent_lanes])
-    lanes = np.vstack([np.zeros((1, lanes.shape[1]), dtype=np.uint64), lanes])  # pinned column 0
-    moved = np.zeros((width, len(tables), lanes.shape[1]), dtype=np.uint64)
+    columns on their src rows). The lane is linear in the counts, so h(y.b) =
+    counts(y) @ (leaf_lanes + parent_lanes) + ready @ moved[b] of leaf_lanes:
+    the summed lanes through level n-1, then a last step of the leaf lanes."""
+    leaf = np.concatenate(([np.uint64(0)], leaf_lanes))  # pinned column 0
+    lanes = leaf if parent_lanes is None else leaf + np.concatenate(([np.uint64(0)], parent_lanes))
+    step, last = np.zeros((2, width, len(tables)), dtype=np.uint64)  # of lanes, of leaf
     for b, (dst, src) in enumerate(tables):
-        np.add.at(moved[:, b], src, lanes[dst])
+        np.add.at(step[:, b], src, lanes[dst])
+        np.add.at(last[:, b], src, leaf[dst])
     h = np.empty(hi - lo, dtype=np.uint64)
     for off, depth, levels in _prefix_tree(n, s, tables, width, lo, hi):
         part = levels[-1] @ lanes
         for i in range(len(levels) - 1, n):
-            if i == n - 1 and parent_lanes is not None:
-                part = part[:, :1] + part[:, 1:]
-            ready, c = levels[max(0, i + 1 - s)], part.shape[1]
-            add = (ready @ moved[:, :, :c].reshape(width, -1)).reshape(len(ready), 1, 2, c)
-            part = (part.reshape(len(ready), -1, 1, c) + add).reshape(-1, c)
+            ready = levels[max(0, i + 1 - s)]
+            add = ready @ (last if i == n - 1 else step)
+            part = (part.reshape(len(ready), -1, 1) + add[:, None, :]).reshape(-1)
             if i < depth:  # level i+1 is above the chunk: keep its one prefix
                 bit = ((lo + off) >> (n - 1 - i)) & 1
                 part = part[bit : bit + 1]
-        h[off : off + len(part)] = part[:, 0]
+        h[off : off + len(part)] = part
     return h
 
 
@@ -459,8 +460,6 @@ def find_collision(
 def _scan(params, n_max, deck_kind, workers, checkpoint):
     params = _guard_params(params, deck_kind)  # also when no length is scanned
     floor = 1 if deck_kind == WILDCARD_U else params.s * (params.k - 1) + 1
-    if deck_kind == EQ7_STAR:  # the both-sides puncture needs n >= 2
-        floor = max(floor, 2)
     scanned = []
     notes = []
     if floor > 1:
@@ -468,6 +467,9 @@ def _scan(params, n_max, deck_kind, workers, checkpoint):
             f"lengths 1..{floor - 1} excluded: depth-{params.k} slice is empty "
             f"there (every pair vacuously equal), first meaningful length is {floor}"
         )
+    elif deck_kind == EQ7_STAR:  # depth 1: the slice is not empty at n = 1
+        floor = 2
+        notes.append("length 1 excluded: the both-sides puncture needs n >= 2")
     for n in range(floor, n_max + 1):
         log.info("scanning n=%d (%s, %s)", n, deck_kind, ", ".join(_tags(params, deck_kind)))
         pair = find_collision(n, params, deck_kind, workers, checkpoint)

@@ -194,8 +194,11 @@ def test_fingerprint_is_a_homomorphism_of_exact_counts():
     assert fingerprint(exact, DEFAULT_FINGERPRINT_PRIMES) == signature(
         x, params, "fingerprint"
     )
-    with pytest.raises(ValueError):
-        fingerprint(exact, ())
+    for primes in ((), (1,), (2**64 + 13,)):  # the moduli signature refuses
+        with pytest.raises(ValueError):
+            signature(x, params, "fingerprint", primes)
+        with pytest.raises(ValueError):
+            fingerprint(exact, primes)
 
 
 def test_default_fingerprint_primes_are_prime():

@@ -119,8 +119,12 @@ def test_search_G_star_values():
     r = search_G_star(GapParams(2, 1), 6)
     assert r.n == 4
     assert r.witnesses[0] == ((0, 0, 1, 0), (0, 1, 0, 0))
+    # the depth-1 slice of a length-1 string is not empty: the puncture excludes it
+    assert r.notes == ("length 1 excluded: the both-sides puncture needs n >= 2",)
     r2 = search_G_star(GapParams(2, 2), 10)
     assert r2.n == 8
+    assert r2.notes == ("lengths 1..2 excluded: depth-2 slice is empty there (every pair "
+                        "vacuously equal), first meaningful length is 3",)
     # the starred relation refines full-deck equality
     assert r2.n >= search_G(GapParams(2, 2), 10).n
     r33 = search_G_star(GapParams(3, 3), 19)
@@ -400,10 +404,11 @@ def test_lane_hashes_match_signatures(block):
 def test_lane_hashes_across_leaf_chunks(deck_kind):
     # all 2^18 codes are four chunks, whose last s levels are lane steps; the
     # block with its top bit fixed is two chunks, each grown along that bit:
-    # the shape of every range the searches hash at n >= 21
+    # the shape of every range the searches hash at n >= 21. At s = 1 the
+    # matmul sits at level n-1 and the one lane step is the leaf lanes' alone
     n, k = 18, 3
     for lo, hi in ((0, 1 << n), (1 << (n - 1), 1 << n)):
-        for s in (2, 3, 4):
+        for s in (1, 2, 3, 4):
             h = _lane_hashes(n, s, k, deck_kind, lo, hi)
             for code in random.Random(18 + s).sample(range(lo, hi), 200):
                 assert int(h[code - lo]) == _reference_lanes(code, n, s, k, deck_kind)
