@@ -297,9 +297,10 @@ def _single_bound(args) -> bounds_mod.BoundReport:
 def cmd_oracle(args) -> int:
     params = GapParams(args.s, args.k)
     if args.op == "deck":
-        xs = _resolve_binary(args.strings)
+        if not args.strings:
+            raise ValueError("oracle deck needs at least one string")
         records, lines = [], []
-        for x in xs:
+        for x in _resolve_binary(args.strings):
             entries = oracle.enumerate_deck_naive(x, params)
             records.append(
                 {
@@ -318,6 +319,9 @@ def cmd_oracle(args) -> int:
               {"equal": eq}, ["true" if eq else "false"])
         return 0 if eq else 1
     _need(args, "n")  # collision
+    if args.strings:
+        raise ValueError(f"oracle collision takes no strings (it enumerates length --n), "
+                         f"got {' '.join(args.strings)}")
     pair = oracle.find_collision_naive(args.n, params)
     found = pair is not None
     rec = {

@@ -19,10 +19,12 @@ _deck_tables are two strided slices and every update reads and writes views;
 _trie_tables builds index arrays for any other pattern list (one pattern, a
 wildcard family). _run_pass runs the recurrence over one string in a
 (rows, width) uint64 state: one row of exact counts, or, in FINGERPRINT mode,
-one row per prime, reduced by a conditional subtract. The state before the
-last letter comes with it, so the four punctured decks of Eq. 7 take two
-passes (_punctured_counts). The same tables drive the prefix-tree kernel of
-gapdeck.search and its wildcard-family search. Exact counting has one
+one row per prime, reduced by a conditional subtract. It returns its ring of
+the last s+1 states; the one before the last letter is in it, so the four
+punctured decks of Eq. 7 take two passes (_punctured_counts). The prefix-tree
+kernel of gapdeck.search (and of its wildcard-family search) walks each
+chunk's fixed top bits with _run_pass and grows the tree from its ring, the
+gap window, on the same tables. Exact counting has one
 overflow guard, _check_exact: the gap-aware bound C(n-(l-1)(s-1), l) on any
 count of length l <= k must stay below 2^64.
 """
@@ -157,11 +159,13 @@ def _moduli(mode: str, primes: tuple):
 
 
 def _run_pass(x, s: int, tables, width: int, mods=None):
-    """Counts of every trie column after x[:-1] and after x, in one pass.
+    """The ring of the last s+1 states of one pass over x: the counts of
+    every trie column after x[:len(x)-s], ..., x[:-1] and x (ring[-1]), with
+    the root standing in for a prefix shorter than the empty one.
 
     x holds letter indices into tables. The state is a (rows, width) uint64
     array whose column 0 is the pinned empty prefix; the letter at position i
-    adds the state as of position i-s, kept in a ring of the last s+1 states.
+    adds the state as of position i-s, ring[1] when it is read.
     Without mods there is one row of exact counts (callers run _check_exact
     first). With mods there is one row per modulus, reduced by the exact
     conditional subtract min(v, v - p): residues lie below p < 2^63, so v < 2p
@@ -179,7 +183,7 @@ def _run_pass(x, s: int, tables, width: int, mods=None):
         acc = acc.copy()
         acc[:, dst] = v if mods is None else np.minimum(v, v - mods)
         ring.append(acc)
-    return ring[-2], acc
+    return ring
 
 
 def _punctured_counts(x: tuple, s: int, k: int, mode: str, primes: tuple) -> tuple:
@@ -193,9 +197,8 @@ def _punctured_counts(x: tuple, s: int, k: int, mode: str, primes: tuple) -> tup
     if mods is None:
         _check_exact(len(x), s, k)
     tables, width = _deck_tables(k), pattern_count(k) + 1
-    right, plain = _run_pass(x, s, tables, width, mods)
-    both, left = _run_pass(x[1:], s, tables, width, mods)
-    return tuple(c[:, 1:] for c in (plain, left, right, both))
+    full, left = (_run_pass(y, s, tables, width, mods) for y in (x, x[1:]))
+    return tuple(c[:, 1:] for c in (full[-1], left[-1], full[-2], left[-2]))
 
 
 @dataclass(frozen=True)
@@ -245,7 +248,7 @@ def count_gapped(w: tuple, x: tuple, s: int) -> int:
     w = tuple(w)
     _check_exact(len(x), s, len(w))
     tables, cols = _trie_tables([w])
-    return int(_run_pass(x, s, tables, len(cols) + 1)[1][0, cols[w]])
+    return int(_run_pass(x, s, tables, len(cols) + 1)[-1][0, cols[w]])
 
 
 def signature(
@@ -265,7 +268,7 @@ def signature(
     mods = _moduli(mode, primes)
     if mods is None:
         _check_exact(n, s, k)
-    res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[1][:, 1:]
+    res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[-1][:, 1:]
     if mods is None:
         return DeckSignature(GapParams(s, k), "exact", n, tuple(res[0].tolist()))
     return DeckSignature(GapParams(s, k), "fingerprint", n, tuple(zip(*res.tolist())), mods)

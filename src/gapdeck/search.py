@@ -28,12 +28,14 @@ strided slices, so the update reads and writes views; a general trie (a
 wildcard family) uses index arrays. Only levels through max(n-s, 0) are
 materialised: the lane is linear in the counts, so the last s levels are
 one-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
-is about 2^(n+1-s) row updates. A code range is an aligned block with fixed
-top bits, cut into chunks of at most 2^16 strings, each grown from the root
-along its own top bits. EQ7_STAR sums two trees, the plain one and one over
-the code mod 2^(n-1) (the L puncture: drop the first bit). Each folds its
-parent-level puncture (R, LR) into one summed lane vector through level n-1,
-and its last step adds its own lanes alone.
+is about 2^(n+1-s) row updates. A code range is an aligned block, cut into
+chunks of at most 2^16 strings. deck._run_pass walks a chunk's fixed top bits
+(at most max(n-s, 0) of them: a smaller block is sliced out of its chunk), and
+the ring of states it returns is the gap window the chunk's tree grows from.
+EQ7_STAR sums two trees, the plain one and one over the code mod 2^(n-1)
+(the L puncture: drop the first bit). Each folds its parent-level puncture
+(R, LR) into one summed lane vector through level n-1, and its last step adds
+its own lanes alone.
 
 search_SU is the same search over {X, Y} (deck kind WILDCARD_U): the tree runs
 at gap 1 on the trie of a wildcard family, whose J columns update on both
@@ -56,6 +58,7 @@ import multiprocessing
 import os
 import time
 import zipfile
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,6 +70,7 @@ from gapdeck.deck import (
     _check_params,
     _deck_tables,
     _punctured_counts,
+    _run_pass,
     _trie_tables,
     pattern_count,
     signature,
@@ -137,68 +141,45 @@ def _extend(prev: np.ndarray, ready: np.ndarray, tables) -> np.ndarray:
     return nxt.reshape(-1, width)
 
 
-def _root(width: int) -> np.ndarray:
-    """Level 0 of a prefix tree: the empty string, whose only nonzero count
-    is the pinned empty-prefix column 0."""
-    root = np.zeros((1, width), dtype=np.uint64)
-    root[0, 0] = 1
-    return root
-
-
-def _prefix_tree(n: int, s: int, tables, width: int, lo: int, hi: int):
-    """Yield (offset, depth, levels) for chunks of the codes lo..hi-1.
-
-    [lo, hi) must be an aligned power-of-two block; its aligned chunks of at
-    most 2^_LEAF_BITS codes (2^(_LEAF_BITS-s) rows at the last level) are each
-    grown from the root along their own fixed top bits. A chunk holds
-    2^(n-depth) codes from lo+offset on; levels[j] holds the DP states (rows
-    of `width` columns on the trie `tables`) of its length-j prefixes through
-    j = max(n-s, 0), one row for j <= depth, or None where no lane step reads
-    them.
-    """
-    size = hi - lo
-    if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
-        raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
-    depth = n - min(size.bit_length() - 1, _LEAF_BITS)
-    for start in range(lo, hi, 1 << (n - depth)):
-        levels = [_root(width)]
-        for i in range(max(n - s, 0)):
-            nxt = _extend(levels[i], levels[max(0, i + 1 - s)], tables)
-            if i < depth:  # level i+1 is above the chunk: keep its one prefix
-                bit = (start >> (n - 1 - i)) & 1
-                nxt = nxt[bit : bit + 1]
-            levels.append(nxt)
-            if i + 1 - s > 0:  # no later step reads the gap-ready level again
-                levels[i + 1 - s] = None
-        yield start - lo, depth, levels
-
-
 def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
     """The (hi-lo,) lane counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes].
 
-    A matmul at the last count level max(n-s, 0), then per level a lane step
-    h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
-    columns on their src rows). The lane is linear in the counts, so h(y.b) =
-    counts(y) @ (leaf_lanes + parent_lanes) + ready @ moved[b] of leaf_lanes:
-    the summed lanes through level n-1, then a last step of the leaf lanes."""
+    [lo, hi) must be an aligned power-of-two block. Each of its aligned chunks
+    of at most 2^_LEAF_BITS codes fixes its top bits, at most through the last
+    count level m = max(n-s, 0), so a block smaller than 2^s codes is hashed
+    as its enclosing chunk and sliced. deck._run_pass walks a chunk's top bits,
+    and its ring is the gap window (the last s levels), which _extend grows
+    through level m. Then a matmul at level m, and a lane step per level below
+    it, h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
+    columns on their src rows), step j reading ready = ring[j]. The lane is
+    linear in the counts, so h(y.b) = counts(y) @ (leaf_lanes + parent_lanes)
+    + ready @ moved[b] of leaf_lanes: the summed lanes through level n-1, then
+    a last step of the leaf lanes."""
+    size = hi - lo
+    if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
+        raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
+    m = max(n - s, 0)
+    depth = min(n - min(size.bit_length() - 1, _LEAF_BITS), m)  # a chunk's top bits
+    span = 1 << (n - depth)
+    base = lo - lo % span
     leaf = np.concatenate(([np.uint64(0)], leaf_lanes))  # pinned column 0
     lanes = leaf if parent_lanes is None else leaf + np.concatenate(([np.uint64(0)], parent_lanes))
     step, last = np.zeros((2, width, len(tables)), dtype=np.uint64)  # of lanes, of leaf
     for b, (dst, src) in enumerate(tables):
         np.add.at(step[:, b], src, lanes[dst])
         np.add.at(last[:, b], src, leaf[dst])
-    h = np.empty(hi - lo, dtype=np.uint64)
-    for off, depth, levels in _prefix_tree(n, s, tables, width, lo, hi):
-        part = levels[-1] @ lanes
-        for i in range(len(levels) - 1, n):
-            ready = levels[max(0, i + 1 - s)]
-            add = ready @ (last if i == n - 1 else step)
-            part = (part.reshape(len(ready), -1, 1) + add[:, None, :]).reshape(-1)
-            if i < depth:  # level i+1 is above the chunk: keep its one prefix
-                bit = ((lo + off) >> (n - 1 - i)) & 1
-                part = part[bit : bit + 1]
-        h[off : off + len(part)] = part
-    return h
+    h = np.empty(max(size, span), dtype=np.uint64)
+    for start in range(base, hi, span):
+        top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
+        ring = deque(_run_pass(top, s, tables, width), maxlen=s)  # levels depth+1-s .. depth
+        for _ in range(depth, m):
+            ring.append(_extend(ring[-1], ring[0], tables))
+        part = ring[-1] @ lanes
+        for j in range(n - m):
+            add = ring[j] @ (last if m + j == n - 1 else step)
+            part = (part.reshape(len(ring[j]), -1, 1) + add[:, None, :]).reshape(-1)
+        h[start - base : start - base + span] = part
+    return h[lo - base : hi - base]
 
 
 def _family(k1: int, k2: Optional[int]) -> list:

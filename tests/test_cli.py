@@ -328,6 +328,21 @@ def test_oracle_bad_params_exit_two(capsys, argv, name):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["deck", "--k", "2"], "needs at least one string"),
+    (["deck", "--k", "2", "--json"], "needs at least one string"),
+    (["collision", "0101", "--n", "3", "--k", "2"], "takes no strings"),
+], ids=["deck-no-string", "deck-no-string-json", "collision-with-string"])
+def test_oracle_string_count_exits_two(capsys, argv, problem):
+    # as `gapdeck deck` refuses no string, the oracle refuses a string count
+    # it cannot use instead of printing nothing or ignoring the string
+    code = main(["oracle", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and problem in captured.err
+
+
 def test_usage_error_exits_two(capsys):
     code, _ = run(capsys, "equal", "01", "--k", "2")  # only one string
     assert code == 2

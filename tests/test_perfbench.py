@@ -1,17 +1,47 @@
 import importlib
 import importlib.util
+import json
 import pathlib
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """A perfbench module, loaded from its path as a script beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_trace_sites_resolve_to_callables():
     # `perfbench/run.py --trace 1` wraps each site by name: a renamed or
     # removed function would otherwise break only traced runs
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing")
     assert tracing.SITES
     missing = [(mod, attr) for mod, attr, _ in tracing.SITES
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["scan-G", "minima", "certify"])
+def test_workloads_match_their_references(name, tmp_path):
+    # one fresh and one resume pass at the benchmark's own size: a wrong
+    # answer, or a resume that recomputes a checkpointed range, fails here
+    # instead of only in a timed run
+    workloads = _load("workloads")
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    wl = workloads.WORKLOADS[name]("full", ref, 1, str(tmp_path))
+    checks = workloads.Checks()
+    wl.new_round()
+    for phase, run in (("fresh", wl.fresh), ("resume", wl.resume)):
+        with wl.observe(phase):
+            run(checks)
+    counters = dict(wl.counters)
+    wl.end_round()
+    assert checks.attempted > 0 and checks.failed == 0
+    if name != "certify":
+        assert counters["search.strings_hashed"] > 0
+        assert counters["search.ckpt.ranges_recomputed_on_resume"] == 0

@@ -31,7 +31,7 @@ from gapdeck.search import (
     _hash_groups,
     _hash_lanes,
     _lane_hashes,
-    _prefix_tree,
+    _tree_hashes,
     find_collision,
     search_G,
     search_G_star,
@@ -444,6 +444,23 @@ def test_lane_hashes_keep_their_digests(n, a, b, deck_kind, digest):
     assert hashlib.sha256(h.astype("<u8").tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("deck_kind, params", [
+    *((kind, [(s, 3) for s in range(1, 5)]) for kind in DECK_KINDS),
+    (WILDCARD_U, [(2, None), (3, 2), (4, 3), (5, 4)]),  # its tree runs at gap 1
+], ids=DECK_KINDS + (WILDCARD_U,))
+def test_every_aligned_block_slices_the_full_lanes(deck_kind, params):
+    # a chunk fixes at most max(n-s, 0) top bits: a block smaller than 2^s
+    # is hashed as its enclosing chunk and sliced, and every block of every
+    # size must read as its slice of the lanes of all 2^n codes
+    for a, b in params:
+        for n in range(2 if deck_kind == EQ7_STAR else 1, 8):
+            full = _lane_hashes(n, a, b, deck_kind, 0, 1 << n).tolist()
+            for size in (1 << e for e in range(n + 1)):
+                for lo in range(0, 1 << n, size):
+                    h = _lane_hashes(n, a, b, deck_kind, lo, lo + size)
+                    assert h.tolist() == full[lo : lo + size], (a, b, n, lo, size)
+
+
 def test_lane_hashes_need_an_aligned_block():
     for lo, hi in ((0, 3), (2, 6), (4, 12), (0, 32)):
         with pytest.raises(ValueError):
@@ -506,6 +523,19 @@ def test_search_SU_values():
     assert u_equiv(*r53.witnesses[0], USetSpec.pair(5, 3))
 
 
+def test_long_scan_witnesses_hold_under_the_independent_references():
+    # the smallest pairs of search_SU(6, 3 or 4, m_max=23) and of
+    # search_G_star((2, 4), 26), checked without the search layer: the pair is
+    # equal on U(6,3) and U(6,4) and not on U(6,5) or U(7,4), and the G* pair
+    # has equal naive decks before and after each one-bit puncture
+    p, q = "XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY"
+    assert [u_equiv(p, q, USetSpec.pair(*k)) for k in ((6, 3), (6, 4), (6, 5), (7, 4))] == [
+        True, True, False, False]
+    x, y = (tuple(map(int, t)) for t in ("00010110011001010101100110",
+                                          "00011001010101100110010110"))
+    assert _eq7_equal_naive(x, y, GapParams(2, 4))
+
+
 @st.composite
 def _families(draw):
     if draw(st.booleans()):
@@ -518,17 +548,21 @@ def _families(draw):
 @settings(max_examples=60, deadline=None)
 @given(_families(), st.text(alphabet="XY", max_size=10))
 def test_wildcard_kernel_matches_count_wildcard(family, p):
-    # both kernels over the family's trie: one pass over p, and p's row of
-    # the prefix tree that search_SU grows: at length len(p) + 1 and gap 1,
-    # the block p.X, p.Y is one chunk whose last level is p alone
+    # both kernels over the family's trie: one pass over p, and the prefix
+    # tree that search_SU walks, hashing the one-code block p at length
+    # len(p) with a unit lane per family column, which reads back its count
     tables, cols = _trie_tables(family, "XY")
     want = [count_wildcard(w, p) for w in family]
-    row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[1][0]
+    row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[-1][0]
     assert [int(row[cols[w]]) for w in family] == want
-    lo = 2 * int("0" + p.translate(str.maketrans("XY", "01")), 2)
-    ((_, _, levels),) = _prefix_tree(len(p) + 1, 1, tables, len(cols) + 1, lo, lo + 2)
-    (leaf,) = levels[len(p)]
-    assert [int(leaf[cols[w]]) for w in family] == want
+    code = int("0" + p.translate(str.maketrans("XY", "01")), 2)
+    got = []
+    for w in family:
+        unit = np.zeros(len(cols), dtype=np.uint64)
+        unit[cols[w] - 1] = 1
+        (count,) = _tree_hashes(len(p), 1, tables, len(cols) + 1, code, code + 1, unit)
+        got.append(int(count))
+    assert got == want
 
 
 def _loaded_and_computed(caplog):
