@@ -3,7 +3,8 @@
 Exit status convention: 0 = computed and the property holds (or plain output
 was produced), 1 = computed and the property does NOT hold (e.g. `equal`
 finds differing decks, a search exhausts its range without a collision),
-2 = usage or computation error. Structured output (--json) uses the stable
+2 = usage or computation error (a refused memory allocation included: it
+decides nothing). Structured output (--json) uses the stable
 versioned envelope {"schema": "gapdeck/1", "command", "params", "result"} and
 is byte-identical across runs, including parallel searches with different
 worker counts. Progress goes to stderr via logging; results go to stdout.
@@ -50,8 +51,11 @@ SCHEMA = "gapdeck/1"
 log = logging.getLogger("gapdeck.cli")
 
 
-def _resolve_binary(tokens) -> list:
-    """Each token is an inline 0/1 string or a path to a file of 0/1 lines."""
+def _resolve_binary(tokens, count=None) -> list:
+    """Each token is an inline 0/1 string or a path to a file of 0/1 lines.
+
+    Refuses no strings at all and, when count is given, any other number.
+    """
     out = []
     for tok in tokens:
         if tok and set(tok) <= {"0", "1"}:
@@ -62,14 +66,11 @@ def _resolve_binary(tokens) -> list:
                     line = line.strip()
                     if line:
                         out.append(parse_binary(line))
+    if not out:
+        raise ValueError("needs at least one string, got none")
+    if count not in (None, len(out)):
+        raise ValueError(f"expected exactly {count} strings, got {len(out)}")
     return out
-
-
-def _two_strings(tokens) -> tuple:
-    xs = _resolve_binary(tokens)
-    if len(xs) != 2:
-        raise ValueError(f"expected exactly two strings, got {len(xs)}")
-    return xs[0], xs[1]
 
 
 def _need(args, *flags) -> None:
@@ -94,12 +95,11 @@ def _emit(args, command: str, params: dict, result, text_lines) -> None:
             print(line)
 
 
-def cmd_deck(args) -> int:
-    params = GapParams(args.s, args.k)
-    xs = _resolve_binary(args.string)
+def _deck_listing(args, enumerate_fn) -> tuple:
+    """The records and text lines of each string's nonzero deck entries."""
     records, lines = [], []
-    for x in xs:
-        entries = enumerate_deck(x, params)
+    for x in _resolve_binary(args.strings):
+        entries = enumerate_fn(x, GapParams(args.s, args.k))
         records.append(
             {
                 "string": format_binary(x),
@@ -107,13 +107,17 @@ def cmd_deck(args) -> int:
             }
         )
         lines.extend(f"{format_binary(w)} {c}" for w, c in entries)
-    _emit(args, "deck", {"s": args.s, "k": args.k}, records, lines)
+    return records, lines
+
+
+def cmd_deck(args) -> int:
+    _emit(args, "deck", {"s": args.s, "k": args.k}, *_deck_listing(args, enumerate_deck))
     return 0
 
 
 def cmd_equal(args) -> int:
     params = GapParams(args.s, args.k)
-    x, y = _two_strings(args.strings)
+    x, y = _resolve_binary(args.strings, 2)
     eq = deck_equal(x, y, params, args.mode)
     _emit(
         args,
@@ -127,7 +131,7 @@ def cmd_equal(args) -> int:
 
 def cmd_eq7(args) -> int:
     params = GapParams(args.s, args.k)
-    x, y = _two_strings(args.strings)
+    x, y = _resolve_binary(args.strings, 2)
     rep = verify_eq7(x, y, params, args.mode)
     _emit(
         args,
@@ -297,23 +301,11 @@ def _single_bound(args) -> bounds_mod.BoundReport:
 def cmd_oracle(args) -> int:
     params = GapParams(args.s, args.k)
     if args.op == "deck":
-        if not args.strings:
-            raise ValueError("oracle deck needs at least one string")
-        records, lines = [], []
-        for x in _resolve_binary(args.strings):
-            entries = oracle.enumerate_deck_naive(x, params)
-            records.append(
-                {
-                    "string": format_binary(x),
-                    "deck": [[format_binary(w), c] for w, c in entries],
-                }
-            )
-            lines.extend(f"{format_binary(w)} {c}" for w, c in entries)
         _emit(args, "oracle", {"op": "deck", "s": args.s, "k": args.k},
-              records, lines)
+              *_deck_listing(args, oracle.enumerate_deck_naive))
         return 0
     if args.op == "equal":
-        x, y = _two_strings(args.strings)
+        x, y = _resolve_binary(args.strings, 2)
         eq = oracle.deck_equal_naive(x, y, params)
         _emit(args, "oracle", {"op": "equal", "s": args.s, "k": args.k},
               {"equal": eq}, ["true" if eq else "false"])
@@ -340,6 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the versioned structured record instead of text")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="progress logging on stderr")
+    deck_opts = argparse.ArgumentParser(add_help=False)  # deck, equal, eq7, oracle
+    deck_opts.add_argument("--s", type=int, default=2, help="minimum index gap (default 2)")
+    deck_opts.add_argument("--k", type=int, required=True, help="maximum subsequence length")
 
     parser = argparse.ArgumentParser(
         prog="gapdeck",
@@ -349,28 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("deck", parents=[common],
-                       help="enumerate the gapped deck of a string")
-    p.add_argument("string", nargs="+", help="inline 0/1 string or file of 0/1 lines")
-    p.add_argument("--s", type=int, default=2, help="minimum index gap (default 2)")
-    p.add_argument("--k", type=int, required=True, help="maximum subsequence length")
-    p.set_defaults(func=cmd_deck)
-
-    p = sub.add_parser("equal", parents=[common],
-                       help="test gapped-deck equality of two strings")
-    p.add_argument("strings", nargs="+")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "fingerprint"], default="exact")
-    p.set_defaults(func=cmd_equal)
-
-    p = sub.add_parser("eq7", parents=[common],
-                       help="four-way deck equality: plain and all one-bit punctures")
-    p.add_argument("strings", nargs="+")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "fingerprint"], default="exact")
-    p.set_defaults(func=cmd_eq7)
+    for name, func, help_ in (
+        ("deck", cmd_deck, "enumerate the gapped deck of a string"),
+        ("equal", cmd_equal, "test gapped-deck equality of two strings"),
+        ("eq7", cmd_eq7, "four-way deck equality: plain and all one-bit punctures"),
+    ):
+        p = sub.add_parser(name, parents=[common, deck_opts], help=help_)
+        p.add_argument("strings", nargs="+", help="inline 0/1 string or file of 0/1 lines")
+        if name != "deck":
+            p.add_argument("--mode", choices=["exact", "fingerprint"], default="exact")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("construct", parents=[common],
                        help="emit a confusable-pair construction")
@@ -424,12 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[common, deck_opts],
                        help="naive enumeration cross-checks (slow, reference only)")
     p.add_argument("op", choices=["deck", "equal", "collision"])
     p.add_argument("strings", nargs="*")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, help="collision: string length to enumerate")
     p.set_defaults(func=cmd_oracle)
 
@@ -446,8 +427,8 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError, ExactOverflowError, BrokenExecutor) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, ExactOverflowError, BrokenExecutor, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

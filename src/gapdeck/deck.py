@@ -6,7 +6,8 @@ least s apart. A DeckSignature is its faithful stand-in: the vector of
 occurrence counts of every nonempty binary pattern of length <= k, ordered by
 length then lexicographically. Signatures come in EXACT mode (integer counts,
 refused a priori when counts could exceed 64 bits) and FINGERPRINT mode
-(counts reduced modulo a fixed list of large primes).
+(counts reduced modulo DEFAULT_FINGERPRINT_PRIMES, three fixed 62-bit primes;
+there are no other moduli).
 
 Counting is one recurrence over the columns of a pattern trie: column 0 is
 the empty prefix, pinned at 1, and the nonempty prefixes of the patterns
@@ -19,7 +20,8 @@ _deck_tables are two strided slices and every update reads and writes views;
 _trie_tables builds index arrays for any other pattern list (one pattern, a
 wildcard family). _run_pass runs the recurrence over one string in a
 (rows, width) uint64 state: one row of exact counts, or, in FINGERPRINT mode,
-one row per prime, reduced by a conditional subtract. It returns its ring of
+one row per prime, reduced by a conditional subtract against the moduli
+column built once at import. It returns its ring of
 the last s+1 states; the one before the last letter is in it, so the four
 punctured decks of Eq. 7 take two passes (_punctured_counts). The prefix-tree
 kernel of gapdeck.search (and of its wildcard-family search) walks each
@@ -47,6 +49,7 @@ DEFAULT_FINGERPRINT_PRIMES = (
     4611686018427387817,
     4611686018427387787,
 )
+_MODULI = np.asarray(DEFAULT_FINGERPRINT_PRIMES, dtype=np.uint64)[:, None]
 
 _UINT64_LIMIT = 1 << 64
 
@@ -145,17 +148,13 @@ def _check_exact(n: int, s: int, k: int) -> None:
         )
 
 
-def _moduli(mode: str, primes: tuple):
-    """None for EXACT mode, else the validated FINGERPRINT moduli."""
+def _moduli(mode: str):
+    """None for EXACT mode, else the (primes, 1) FINGERPRINT moduli column."""
     if mode == "exact":
         return None
     if mode != "fingerprint":
         raise ValueError(f"unknown signature mode {mode!r}")
-    if not primes:
-        raise ValueError("fingerprint mode needs at least one prime")
-    if not all(1 < p < 1 << 63 for p in primes):  # sums of two residues fit uint64
-        raise ValueError("fingerprint moduli must lie in (1, 2^63)")
-    return tuple(primes)
+    return _MODULI
 
 
 def _run_pass(x, s: int, tables, width: int, mods=None):
@@ -167,13 +166,11 @@ def _run_pass(x, s: int, tables, width: int, mods=None):
     array whose column 0 is the pinned empty prefix; the letter at position i
     adds the state as of position i-s, ring[1] when it is read.
     Without mods there is one row of exact counts (callers run _check_exact
-    first). With mods there is one row per modulus, reduced by the exact
-    conditional subtract min(v, v - p): residues lie below p < 2^63, so v < 2p
-    never wraps, and v - p wraps above v exactly when v < p.
+    first). With mods, _moduli's column, there is one row per modulus, reduced
+    by the exact conditional subtract min(v, v - p): residues lie below
+    p < 2^62, so v < 2p never wraps, and v - p wraps above v exactly when v < p.
     """
     rows = 1 if mods is None else len(mods)
-    if mods is not None:
-        mods = np.asarray(mods, dtype=np.uint64)[:, None]
     acc = np.zeros((rows, width), dtype=np.uint64)
     acc[:, 0] = 1
     ring = deque([acc] * (s + 1), maxlen=s + 1)  # states after i-s .. i letters
@@ -186,14 +183,14 @@ def _run_pass(x, s: int, tables, width: int, mods=None):
     return ring
 
 
-def _punctured_counts(x: tuple, s: int, k: int, mode: str, primes: tuple) -> tuple:
+def _punctured_counts(x: tuple, s: int, k: int, mode: str) -> tuple:
     """Deck counts of x and of its L, R and LR punctures, from two passes.
 
     R = x[:-1] is the state before the last letter of the pass over x, and
     LR = x[1:-1] the one before the last letter of the pass over x[1:]. Each
     entry is a (rows, P) array as in _run_pass. Needs len(x) >= 2.
     """
-    mods = _moduli(mode, primes)
+    mods = _moduli(mode)
     if mods is None:
         _check_exact(len(x), s, k)
     tables, width = _deck_tables(k), pattern_count(k) + 1
@@ -206,7 +203,7 @@ class DeckSignature:
     """Per-pattern multiplicity vector for B^(k), in canonical pattern order.
 
     In EXACT mode counts is a tuple of ints; in FINGERPRINT mode a tuple of
-    residue tuples, one residue per prime in primes.
+    residue tuples, one residue per prime in primes (DEFAULT_FINGERPRINT_PRIMES).
     """
 
     params: GapParams
@@ -251,12 +248,7 @@ def count_gapped(w: tuple, x: tuple, s: int) -> int:
     return int(_run_pass(x, s, tables, len(cols) + 1)[-1][0, cols[w]])
 
 
-def signature(
-    x: tuple,
-    params: GapParams,
-    mode: str = "exact",
-    primes: tuple = DEFAULT_FINGERPRINT_PRIMES,
-) -> DeckSignature:
+def signature(x: tuple, params: GapParams, mode: str = "exact") -> DeckSignature:
     """Full deck signature of x under (s, k), in EXACT or FINGERPRINT mode.
 
     EXACT mode is refused with ExactOverflowError when some count could
@@ -265,24 +257,21 @@ def signature(
     """
     s, k = _check_params(params)
     n = len(x)
-    mods = _moduli(mode, primes)
+    mods = _moduli(mode)
     if mods is None:
         _check_exact(n, s, k)
     res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[-1][:, 1:]
     if mods is None:
         return DeckSignature(GapParams(s, k), "exact", n, tuple(res[0].tolist()))
-    return DeckSignature(GapParams(s, k), "fingerprint", n, tuple(zip(*res.tolist())), mods)
+    counts = tuple(zip(*res.tolist()))
+    return DeckSignature(GapParams(s, k), "fingerprint", n, counts, DEFAULT_FINGERPRINT_PRIMES)
 
 
 def punctured_signature(
-    x: tuple,
-    params: GapParams,
-    spec: Puncture,
-    mode: str = "exact",
-    primes: tuple = DEFAULT_FINGERPRINT_PRIMES,
+    x: tuple, params: GapParams, spec: Puncture, mode: str = "exact"
 ) -> DeckSignature:
     """Signature of x with the requested end bits removed first."""
-    return signature(puncture(x, spec), params, mode, primes)
+    return signature(puncture(x, spec), params, mode)
 
 
 def deck_equal(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> bool:
@@ -345,8 +334,8 @@ def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq
         raise ValueError("need length >= 2 so both ends can be punctured")
 
     params = _check_params(params)
-    a = _punctured_counts(x, *params, mode, DEFAULT_FINGERPRINT_PRIMES)
-    b = _punctured_counts(y, *params, mode, DEFAULT_FINGERPRINT_PRIMES)
+    a = _punctured_counts(x, *params, mode)
+    b = _punctured_counts(y, *params, mode)
     plain, left, right, both = (np.array_equal(u, v) for u, v in zip(a, b))
     return Eq7Report(
         plain_equal=plain,
@@ -371,10 +360,10 @@ def enumerate_deck(x: tuple, params: GapParams) -> list:
     return [(w, c) for w, c in zip(pats, sig.counts) if c != 0]
 
 
-def fingerprint(sig: DeckSignature, primes: tuple = DEFAULT_FINGERPRINT_PRIMES) -> DeckSignature:
+def fingerprint(sig: DeckSignature) -> DeckSignature:
     """Reduce an EXACT signature modulo each prime (deterministic homomorphism)."""
     if sig.mode != "exact":
         raise ValueError("fingerprint expects an EXACT-mode signature")
-    primes = _moduli("fingerprint", primes)
+    primes = DEFAULT_FINGERPRINT_PRIMES
     counts = tuple(tuple(c % p for p in primes) for c in sig.counts)
     return DeckSignature(sig.params, "fingerprint", sig.source_length, counts, primes)

@@ -243,7 +243,7 @@ def _confirm_key(x, params, deck_kind: str):
     if deck_kind == WILDCARD_U:  # the family counts, from the independent reference
         return tuple(count_wildcard(w, x) for w in _family(*params))
     if deck_kind == EQ7_STAR:  # plain, L, R and LR counts
-        return tuple(c.tobytes() for c in _punctured_counts(x, *params, "exact", ()))
+        return tuple(c.tobytes() for c in _punctured_counts(x, *params, "exact"))
     sig = signature(x, params)
     if deck_kind == EXACT_D:
         return sig.length_slice(params.k)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -341,6 +342,58 @@ def test_oracle_string_count_exits_two(capsys, argv, problem):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and problem in captured.err
+
+
+@pytest.mark.parametrize("command", [["deck"], ["oracle", "deck"]], ids=["deck", "oracle-deck"])
+@pytest.mark.parametrize("text, flags", [("", []), ("\n  \n\n", ["--json"])],
+                         ids=["empty-file", "blank-lines-json"])
+def test_deck_of_a_file_without_strings_exits_two(capsys, tmp_path, command, text, flags):
+    # a file that holds no string is refused like no string at all, not
+    # listed as an empty deck with exit 0
+    path = tmp_path / "strings.txt"
+    path.write_text(text)
+    code = main([*command, str(path), "--k", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "needs at least one string" in captured.err
+
+
+def test_deck_listing_matches_the_oracle(capsys, tmp_path):
+    # deck and oracle deck share one listing; only the counting differs
+    path = tmp_path / "strings.txt"
+    path.write_text("1\n0110\n\n1001011\n111010010110\n")
+    code, fast = run(capsys, "deck", str(path), "--s", "2", "--k", "3", "--json")
+    assert code == 0
+    code, naive = run(capsys, "oracle", "deck", str(path), "--s", "2", "--k", "3", "--json")
+    assert code == 0
+    result = json.loads(fast)["result"]
+    assert result == json.loads(naive)["result"]
+    assert [rec["string"] for rec in result] == ["1", "0110", "1001011", "111010010110"]
+
+
+_HUGE_K = [["equal", "01", "10"], ["oracle", "equal", "01", "10"], ["oracle", "deck", "01"],
+           ["oracle", "collision", "--n", "2"]]
+
+
+@pytest.mark.parametrize("argv", _HUGE_K, ids=["_".join(argv[:2]) for argv in _HUGE_K])
+def test_refused_allocation_exits_two(capsys, argv):
+    # at k=40 a deck holds 2^41 - 2 counts (16 TiB), so the first allocation
+    # is refused; that decides nothing, so it must not read as exit 1 ("the
+    # property does not hold"). The address-space cap makes the refusal
+    # immediate even where the system overcommits memory.
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 40 if hard == resource.RLIM_INFINITY else min(1 << 40, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code = main([*argv, "--k", "40"])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exits_two(capsys):

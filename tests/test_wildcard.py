@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gapdeck.constructions import padded_mt
+from gapdeck.deck import GapParams, verify_eq7
 from gapdeck.wildcard import (
     Lemma3Instance,
     USetSpec,
@@ -130,6 +131,33 @@ def test_lemma3_flags_on_the_minimal_instance():
     assert not rep.conclusion_r
     assert not rep.conclusion_lr
     assert not rep.conclusions_true
+
+
+def test_lemma3_falls_back_to_fingerprint_mode():
+    """Past the 64-bit guard, lemma3_check certifies in FINGERPRINT mode.
+
+    k=2, sigma=2 (depth 8): 70 blocks of 14 bits give substituted strings of
+    length 980, past n=975 where exact (2, 8) counts may exceed 64 bits. The
+    pattern pair is the smallest U(6,4)-equivalent pair padded by 47 shared
+    X's, once around it (all four conclusions come out equal) and once after
+    it (none does); either way the flags are those of a direct fingerprint
+    verify_eq7 at depth 3k+sigma.
+    """
+    pair = padded_mt(2)
+    p, q = "XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY"
+    flags = []
+    for p, q in (("X" * 23 + p + "X" * 24, "X" * 23 + q + "X" * 24),
+                 (p + "X" * 47, q + "X" * 47)):
+        rep = lemma3_check(Lemma3Instance(pair.x, pair.y, p, q, k=2, sigma=2))
+        assert rep.mode == "fingerprint"
+        assert rep.hypotheses_true
+        hp, hq = substitute(p, pair.x, pair.y), substitute(q, pair.x, pair.y)
+        assert len(hp) == 980
+        direct = verify_eq7(hp, hq, GapParams(2, 3 * 2 + 2), "fingerprint")
+        got = (rep.conclusion_plain, rep.conclusion_l, rep.conclusion_r, rep.conclusion_lr)
+        assert got == (direct.plain_equal, direct.l_equal, direct.r_equal, direct.lr_equal)
+        flags.append(got)
+    assert flags[0] != flags[1]  # the comparison is not between constant flags
 
 
 def test_lemma3_record_fields():
