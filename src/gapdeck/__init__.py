@@ -41,7 +41,6 @@ from gapdeck.deck import (
     enumerate_deck,
     exact_deck_equal,
     fingerprint,
-    punctured_signature,
     signature,
     verify_eq7,
 )
@@ -54,12 +53,10 @@ from gapdeck.search import (
     search_exact_D,
 )
 from gapdeck.strings import (
-    Puncture,
     complement,
     format_binary,
     parse_binary,
     parse_wildcard,
-    puncture,
     reverse,
 )
 from gapdeck.wildcard import (
@@ -87,7 +84,6 @@ __all__ = [
     "GapParams",
     "Lemma3Instance",
     "Lemma3Report",
-    "Puncture",
     "USetSpec",
     "best_bound",
     "classical_mt",
@@ -114,8 +110,6 @@ __all__ = [
     "padded_mt_trimmed",
     "parse_binary",
     "parse_wildcard",
-    "puncture",
-    "punctured_signature",
     "reverse",
     "s_padded_bound",
     "s_padded_mt",

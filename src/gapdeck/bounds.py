@@ -163,11 +163,11 @@ def best_bound(k: int) -> BoundReport:
     return BoundReport(value=closed_form_bound(k), formula_id=CLOSED_FORM, k=k)
 
 
-def summary_table(k_min: int = 2, k_max: int = 10) -> list:
-    """best_bound rows for k_min..k_max inclusive."""
-    return [best_bound(k) for k in range(k_min, k_max + 1)]
+def summary_table() -> list:
+    """best_bound rows for k = 2..10."""
+    return [best_bound(k) for k in range(2, 11)]
 
 
-def table2(ks: tuple = (28, 29, 30, 31, 32, 33)) -> list:
-    """Closed-form rows for the listed k (the six reference columns)."""
-    return [BoundReport(value=closed_form_bound(k), formula_id=CLOSED_FORM, k=k) for k in ks]
+def table2() -> list:
+    """Closed-form rows for k = 28..33 (the six reference columns)."""
+    return [BoundReport(closed_form_bound(k), CLOSED_FORM, k=k) for k in range(28, 34)]

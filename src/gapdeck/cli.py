@@ -15,6 +15,7 @@ files of 0/1 lines; a token that is not purely 0/1 is treated as a path.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -326,6 +327,7 @@ def cmd_oracle(args) -> int:
     return 0 if found else 1
 
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -418,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,

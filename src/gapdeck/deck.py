@@ -21,17 +21,19 @@ _trie_tables builds index arrays for any other pattern list (one pattern, a
 wildcard family). _run_pass runs the recurrence over one string in a
 (rows, width) uint64 state: one row of exact counts, or, in FINGERPRINT mode,
 one row per prime, reduced by a conditional subtract against the moduli
-column built once at import. It returns its ring of
-the last s+1 states; the one before the last letter is in it, so the four
-punctured decks of Eq. 7 take two passes (_punctured_counts). The prefix-tree
-kernel of gapdeck.search (and of its wildcard-family search) walks each
-chunk's fixed top bits with _run_pass and grows the tree from its ring, the
-gap window, on the same tables. Exact counting has one
-overflow guard, _check_exact: the gap-aware bound C(n-(l-1)(s-1), l) on any
-count of length l <= k must stay below 2^64.
+column built once at import. A pass whose live states would not fit in
+physical memory is refused with MemoryError before it allocates. It returns
+its ring of the last s+1 states; the one before the last letter is in it, so
+the four punctured decks of Eq. 7 take two passes (_punctured_counts, the one
+place that takes punctured decks). The prefix-tree kernel of gapdeck.search
+(and of its wildcard-family search) walks each chunk's fixed top bits with
+_run_pass and grows the tree from its ring, the gap window, on the same
+tables. Exact counting has one overflow guard, _check_exact: the gap-aware
+bound C(n-(l-1)(s-1), l) on any count of length l <= k must stay below 2^64.
 """
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -39,8 +41,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-
-from gapdeck.strings import Puncture, puncture
 
 # The three largest primes below 2^62; two residues always sum below 2^63,
 # so modular accumulation cannot wrap in uint64.
@@ -52,6 +52,7 @@ DEFAULT_FINGERPRINT_PRIMES = (
 _MODULI = np.asarray(DEFAULT_FINGERPRINT_PRIMES, dtype=np.uint64)[:, None]
 
 _UINT64_LIMIT = 1 << 64
+_PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class GapParams(NamedTuple):
@@ -169,8 +170,17 @@ def _run_pass(x, s: int, tables, width: int, mods=None):
     first). With mods, _moduli's column, there is one row per modulus, reduced
     by the exact conditional subtract min(v, v - p): residues lie below
     p < 2^62, so v < 2p never wraps, and v - p wraps above v exactly when v < p.
+    Up to min(len(x), s) + 1 ring states and two temporaries are live at once;
+    a pass whose states exceed physical memory raises MemoryError up front,
+    since a lazily granted allocation would get the process killed instead.
     """
     rows = 1 if mods is None else len(mods)
+    need = 8 * rows * width * (min(len(x), s) + 3)
+    if need > _PHYSICAL_BYTES:
+        raise MemoryError(
+            f"a counting pass needs {need} bytes of state, "
+            f"more than the {_PHYSICAL_BYTES} bytes of physical memory"
+        )
     acc = np.zeros((rows, width), dtype=np.uint64)
     acc[:, 0] = 1
     ring = deque([acc] * (s + 1), maxlen=s + 1)  # states after i-s .. i letters
@@ -208,9 +218,12 @@ class DeckSignature:
 
     params: GapParams
     mode: str  # "exact" | "fingerprint"
-    source_length: int
     counts: tuple
-    primes: tuple = ()
+
+    @property
+    def primes(self) -> tuple:
+        """The moduli of the residues: DEFAULT_FINGERPRINT_PRIMES, or () in EXACT mode."""
+        return DEFAULT_FINGERPRINT_PRIMES if self.mode == "fingerprint" else ()
 
     def length_slice(self, ell: int) -> tuple:
         """Counts of all patterns of length exactly ell, in lex order."""
@@ -218,19 +231,6 @@ class DeckSignature:
             raise ValueError(f"slice length {ell} outside 1..{self.params.k}")
         lo = (1 << ell) - 2
         return self.counts[lo: lo + (1 << ell)]
-
-    def to_record(self) -> dict:
-        """JSON-compatible serialization (pattern order is part of the format)."""
-        rec = {
-            "s": self.params.s,
-            "k": self.params.k,
-            "mode": self.mode,
-            "source_length": self.source_length,
-            "counts": [list(c) if isinstance(c, tuple) else c for c in self.counts],
-        }
-        if self.mode == "fingerprint":
-            rec["primes"] = list(self.primes)
-        return rec
 
 
 def count_gapped(w: tuple, x: tuple, s: int) -> int:
@@ -256,22 +256,12 @@ def signature(x: tuple, params: GapParams, mode: str = "exact") -> DeckSignature
     mode.
     """
     s, k = _check_params(params)
-    n = len(x)
     mods = _moduli(mode)
     if mods is None:
-        _check_exact(n, s, k)
+        _check_exact(len(x), s, k)
     res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[-1][:, 1:]
-    if mods is None:
-        return DeckSignature(GapParams(s, k), "exact", n, tuple(res[0].tolist()))
-    counts = tuple(zip(*res.tolist()))
-    return DeckSignature(GapParams(s, k), "fingerprint", n, counts, DEFAULT_FINGERPRINT_PRIMES)
-
-
-def punctured_signature(
-    x: tuple, params: GapParams, spec: Puncture, mode: str = "exact"
-) -> DeckSignature:
-    """Signature of x with the requested end bits removed first."""
-    return signature(puncture(x, spec), params, mode)
+    counts = tuple(res[0].tolist()) if mods is None else tuple(zip(*res.tolist()))
+    return DeckSignature(GapParams(s, k), mode, counts)
 
 
 def deck_equal(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> bool:
@@ -364,6 +354,5 @@ def fingerprint(sig: DeckSignature) -> DeckSignature:
     """Reduce an EXACT signature modulo each prime (deterministic homomorphism)."""
     if sig.mode != "exact":
         raise ValueError("fingerprint expects an EXACT-mode signature")
-    primes = DEFAULT_FINGERPRINT_PRIMES
-    counts = tuple(tuple(c % p for p in primes) for c in sig.counts)
-    return DeckSignature(sig.params, "fingerprint", sig.source_length, counts, primes)
+    counts = tuple(tuple(c % p for p in DEFAULT_FINGERPRINT_PRIMES) for c in sig.counts)
+    return DeckSignature(sig.params, "fingerprint", counts)

@@ -53,6 +53,7 @@ recomputed. search.log is an append-only progress record.
 from __future__ import annotations
 
 import concurrent.futures  # its ProcessPoolExecutor is imported on first use
+import functools
 import logging
 import multiprocessing
 import os
@@ -182,13 +183,14 @@ def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> 
     return h[lo - base : hi - base]
 
 
-def _family(k1: int, k2: Optional[int]) -> list:
+@functools.cache  # every length, range and confirmation of a search reads it
+def _family(k1: int, k2: Optional[int]) -> tuple:
     """The wildcard family of search_SU: U_1(k1) u U_2(k2), or U_1(k1) if k2 is None."""
     if k2 is None:
         if k1 < 1:
             raise ValueError(f"single-depth form needs k1 >= 1, got {k1}")
-        return enumerate_U(USetSpec.single(1, k1))
-    return enumerate_U(USetSpec.pair(k1, k2))  # validates k1 >= k2 >= 2
+        return tuple(enumerate_U(USetSpec.single(1, k1)))
+    return tuple(enumerate_U(USetSpec.pair(k1, k2)))  # validates k1 >= k2 >= 2
 
 
 def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int):

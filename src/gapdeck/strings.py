@@ -2,21 +2,11 @@
 
 Binary strings are tuples of 0/1 ints; wildcard strings are plain str over
 the alphabet {X, Y, J}. Both are immutable, so every function here is pure.
+A one-bit puncture is a plain slice: x[1:], x[:-1] or x[1:-1].
 """
 from __future__ import annotations
 
-from enum import Enum
-
 _WILDCARD_ALPHABET = frozenset("XYJ")
-
-
-class Puncture(Enum):
-    """Which end bits to drop before taking a deck."""
-
-    NONE = "none"
-    L = "l"
-    R = "r"
-    LR = "lr"
 
 
 def parse_binary(text: str) -> tuple:
@@ -48,25 +38,6 @@ def complement(x: tuple) -> tuple:
 def reverse(x: tuple) -> tuple:
     """Reverse the bit order."""
     return x[::-1]
-
-
-def puncture(x: tuple, spec: Puncture) -> tuple:
-    """Drop the first bit (L), last bit (R), both (LR), or neither (NONE)."""
-    if spec is Puncture.NONE:
-        return x
-    if spec is Puncture.L:
-        if len(x) < 1:
-            raise ValueError("cannot puncture an empty string on the left")
-        return x[1:]
-    if spec is Puncture.R:
-        if len(x) < 1:
-            raise ValueError("cannot puncture an empty string on the right")
-        return x[:-1]
-    if spec is Puncture.LR:
-        if len(x) < 2:
-            raise ValueError("need length >= 2 to puncture both ends")
-        return x[1:-1]
-    raise ValueError(f"unknown puncture spec {spec!r}")
 
 
 def parse_wildcard(text: str) -> str:

@@ -396,6 +396,20 @@ def test_refused_allocation_exits_two(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_pass_beyond_physical_memory_exits_two(capsys, monkeypatch):
+    # at k=20 a pass over two letters keeps five states of 2^21 uint64 words
+    # (80 MiB) live: real memory holds them, but against 64 MiB the pass must
+    # be refused before it allocates rather than be granted and then killed
+    code, out = run(capsys, "equal", "01", "10", "--k", "20")
+    assert (code, out) == (0, "true\n")
+    monkeypatch.setattr("gapdeck.deck._PHYSICAL_BYTES", 64 << 20)
+    code = main(["equal", "01", "10", "--k", "20"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: a counting pass needs 83886040 bytes")
+
+
 def test_usage_error_exits_two(capsys):
     code, _ = run(capsys, "equal", "01", "--k", "2")  # only one string
     assert code == 2

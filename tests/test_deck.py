@@ -22,13 +22,12 @@ from gapdeck.deck import (
     pattern_count,
     pattern_index,
     patterns_upto,
-    punctured_signature,
     signature,
     slice_bound,
     verify_eq7,
 )
 from gapdeck.search import find_collision
-from gapdeck.strings import Puncture, complement, parse_binary, reverse
+from gapdeck.strings import complement, parse_binary, reverse
 
 
 def test_count_gapped_basic_values():
@@ -226,17 +225,14 @@ def _eq7_pairs(draw):
 @given(_eq7_pairs(), st.integers(1, 3), st.integers(1, 4), st.sampled_from(["exact", "fingerprint"]))
 def test_two_pass_verify_eq7_matches_punctured_signatures(pair, s, k, mode):
     # R and LR are read off the passes over x and x[1:]; each flag must be
-    # the comparison of the separately computed punctured signatures
+    # the comparison of the signatures of the sliced strings
     x, y = pair
     params = GapParams(s, k)
     rep = verify_eq7(x, y, params, mode)
-
-    def eq(spec):
-        return (punctured_signature(x, params, spec, mode).counts
-                == punctured_signature(y, params, spec, mode).counts)
-
+    cuts = (slice(None), slice(1, None), slice(None, -1), slice(1, -1))  # plain, L, R, LR
     assert (rep.plain_equal, rep.l_equal, rep.r_equal, rep.lr_equal) == tuple(
-        eq(spec) for spec in (Puncture.NONE, Puncture.L, Puncture.R, Puncture.LR)
+        signature(x[c], params, mode).counts == signature(y[c], params, mode).counts
+        for c in cuts
     )
     assert rep.mode == mode and rep.params == params
 
@@ -257,7 +253,6 @@ def test_gap_params_validation():
 
 def test_signature_record_shape():
     sig = signature((1, 0, 0, 1), GapParams(2, 2))
-    rec = sig.to_record()
-    assert rec["mode"] == "exact"
-    assert rec["source_length"] == 4
     assert isinstance(sig, DeckSignature)
+    assert sig.mode == "exact"
+    assert sig.primes == ()

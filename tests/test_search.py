@@ -38,7 +38,7 @@ from gapdeck.search import (
     search_SU,
     search_exact_D,
 )
-from gapdeck.strings import Puncture, complement, puncture, reverse
+from gapdeck.strings import complement, reverse
 from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U, u_equiv
 
 
@@ -373,8 +373,8 @@ def _reference_lanes(code, n, s, k, deck_kind):
     if deck_kind == EQ7_STAR:
         counts = [
             c
-            for spec in (Puncture.NONE, Puncture.L, Puncture.R, Puncture.LR)
-            for c in signature(puncture(x, spec), params).counts
+            for y in (x, x[1:], x[:-1], x[1:-1])  # plain, L, R, LR
+            for c in signature(y, params).counts
         ]
     elif deck_kind == EXACT_D:
         counts = signature(x, params).length_slice(k)
@@ -593,6 +593,21 @@ def test_search_SU_checkpoint_resume(tmp_path, caplog):
     assert search_SU(4, 3, checkpoint=ckpt).to_record() == fresh
     assert "unusable" in caplog.text
     assert _loaded_and_computed(caplog)[6] == (1, 0)
+
+
+def test_search_SU_builds_its_family_once(monkeypatch):
+    # one wildcard family per (k1, k2), not one per length, range and confirmation
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return enumerate_U(spec)
+
+    monkeypatch.setattr(search, "enumerate_U", counted)
+    search._family.cache_clear()
+    assert search_SU(4, 3).n == 12
+    assert len(calls) <= 1
+    assert isinstance(search._family(4, 3), tuple)  # shared, so immutable
 
 
 def test_search_SU_open_and_validation():

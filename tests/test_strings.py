@@ -1,12 +1,10 @@
 import pytest
 
 from gapdeck.strings import (
-    Puncture,
     complement,
     format_binary,
     parse_binary,
     parse_wildcard,
-    puncture,
     reverse,
 )
 
@@ -33,22 +31,6 @@ def test_complement_and_reverse():
     assert reverse(x) == (1, 0, 1, 0, 0)
     assert complement(complement(x)) == x
     assert reverse(reverse(x)) == x
-
-
-def test_puncture_variants():
-    x = parse_binary("01101")
-    assert puncture(x, Puncture.NONE) == x
-    assert puncture(x, Puncture.L) == (1, 1, 0, 1)
-    assert puncture(x, Puncture.R) == (0, 1, 1, 0)
-    assert puncture(x, Puncture.LR) == (1, 1, 0)
-
-
-def test_puncture_length_requirements():
-    assert puncture((1,), Puncture.L) == ()
-    with pytest.raises(ValueError):
-        puncture((), Puncture.L)
-    with pytest.raises(ValueError):
-        puncture((1,), Puncture.LR)
 
 
 def test_parse_wildcard():
