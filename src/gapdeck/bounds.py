@@ -4,15 +4,18 @@ All integer formulas use exact arithmetic. Two evaluations are floating:
 dudik_su_bound (floored) and closed_form_bound (ceiled — truncation misses
 every reference value by exactly one, so the rounding rule that reproduces
 the reference numbers is documented as "ceil" in the report). best_bound
-reproduces the summary table as printed; its 5..27 row is 4(2^k-1), one
-looser than the trimmed-construction value 4(2^k-1)-2, and the report's
-note says so.
+reproduces the summary table as printed: its 2..4 rows are MINIMA's G_2
+values, and its 5..27 row is 4(2^k-1), one looser than the trimmed-construction
+value 4(2^k-1)-2, as the report's note says.
+
+MINIMA is the ledger of the minima that exhaustive searches have computed:
+every quoted minimum and witness is written there, and only there.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional, Union
 
 PADDED = "PADDED"
 S_PADDED = "S_PADDED"
@@ -59,18 +62,49 @@ class BoundReport:
         return _ROUNDING[self.formula_id]
 
     def to_record(self) -> dict:
-        rec = {
-            "value": self.value,
-            "formula_id": self.formula_id,
-            "rounding": self.rounding,
-        }
-        for name in ("k", "s", "k1", "k2"):
-            v = getattr(self, name)
-            if v is not None:
-                rec[name] = v
-        if self.note:
-            rec["note"] = self.note
-        return rec
+        rec = {name: v for name, v in asdict(self).items() if v not in (None, "")}
+        return {**rec, "rounding": self.rounding}
+
+
+class Minimum(NamedTuple):
+    """One computed minimum, certified by `gapdeck search <which>` scanning
+    through n (`--n-max n`, or `--m-max n` for SU): an exact entry's scan
+    finds n and its witness, a lower bound's scan finds no pair."""
+
+    which: str  # G, Gstar, exactD or SU, as `gapdeck search` names them
+    params: tuple  # (s, k), or (k1, k2) for SU; (k1, None) is the family U_1(k1)
+    n: int
+    witness: Optional[tuple]  # the smallest pair, as the search prints it
+    exact: bool = True  # False: only a lower bound, no pair through n
+
+
+MINIMA = (
+    Minimum("G", (1, 2), 4, ("0110", "1001")),
+    Minimum("G", (1, 3), 7, ("0110001", "1000110")),
+    Minimum("G", (1, 4), 12, ("011000100110", "100010110001")),
+    Minimum("G", (2, 2), 6, ("001101", "010011")),
+    Minimum("G", (2, 3), 13, ("0001010000100", "0010000101000")),
+    Minimum("G", (2, 4), 24, ("001011001100101010110011", "001100101010110011001011")),
+    Minimum("G", (3, 3), 17, ("01000101001010101", "01001000011100101")),
+    Minimum("G", (3, 4), 28, None, exact=False),
+    Minimum("Gstar", (2, 1), 4, ("0010", "0100")),
+    Minimum("Gstar", (2, 2), 8, ("00011010", "00100110")),
+    Minimum("Gstar", (2, 3), 15, ("000010100001000", "000100001010000")),
+    Minimum("Gstar", (2, 4), 26, ("00010110011001010101100110", "00011001010101100110010110")),
+    Minimum("Gstar", (3, 3), 19, ("0010001010010101010", "0010010000111001010")),
+    Minimum("exactD", (2, 2), 3, ("000", "010")),
+    Minimum("exactD", (2, 3), 5, ("00000", "00010")),
+    Minimum("exactD", (2, 4), 7, ("0000000", "0000010")),
+    Minimum("exactD", (3, 2), 4, ("0000", "0010")),
+    Minimum("SU", (1, None), 2, ("XY", "YX")),
+    Minimum("SU", (2, None), 4, ("XYYX", "YXXY")),
+    Minimum("SU", (3, 2), 7, ("XYYXXXY", "YXXXYYX")),
+    Minimum("SU", (4, 3), 12, ("XYYXXXYXXYYX", "YXXXYXYYXXXY")),
+    Minimum("SU", (5, 3), 16, ("XYYXXXXXYYYXXXXY", "YXXXXYYYXXXXXYYX")),
+    Minimum("SU", (6, 3), 23, ("XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY")),
+    Minimum("SU", (6, 4), 23, ("XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY")),
+    Minimum("SU", (7, 4), 27, None, exact=False),
+)
 
 
 def padded_bound(k: int) -> int:
@@ -139,20 +173,13 @@ def ungapped_reference_bound(k: int) -> float:
     return 1.2 * math.gamma(t) * 3.0 ** (1.5 * t * t - 0.5 * t)
 
 
-_EXACT_SMALL = {2: 6, 3: 13, 4: 24}
-
-
 def best_bound(k: int) -> BoundReport:
-    """Summary-table row for one k: exact value, padded formula, or closed form."""
+    """Summary-table row for one k: exact G_2(k) of MINIMA, padded formula, or closed form."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if k in _EXACT_SMALL:
-        return BoundReport(
-            value=_EXACT_SMALL[k],
-            formula_id=EXACT,
-            k=k,
-            note="exhaustive-search value",
-        )
+    exact = [m.n for m in MINIMA if m.which == "G" and m.params == (2, k) and m.exact]
+    if exact:
+        return BoundReport(value=exact[0], formula_id=EXACT, k=k, note="exhaustive-search value")
     if k <= 27:
         return BoundReport(
             value=4 * (2**k - 1),

@@ -3,11 +3,12 @@
 Exit status convention: 0 = computed and the property holds (or plain output
 was produced), 1 = computed and the property does NOT hold (e.g. `equal`
 finds differing decks, a search exhausts its range without a collision),
-2 = usage or computation error (a refused memory allocation included: it
-decides nothing). Structured output (--json) uses the stable
-versioned envelope {"schema": "gapdeck/1", "command", "params", "result"} and
-is byte-identical across runs, including parallel searches with different
-worker counts. Progress goes to stderr via logging; results go to stdout.
+2 = usage or computation error (a refused memory allocation, or a number past
+the range of floats or of 64-bit counts, included: it decides nothing).
+Structured output (--json) uses the stable versioned envelope {"schema":
+"gapdeck/1", "command", "params", "result"} and is byte-identical across
+runs, including parallel searches with different worker counts. Progress
+goes to stderr via logging; results go to stdout.
 
 Binary-string arguments are accepted inline (tokens of 0/1) or as paths to
 files of 0/1 lines; a token that is not purely 0/1 is treated as a path.
@@ -30,13 +31,7 @@ from gapdeck.constructions import (
     padded_mt_trimmed,
     s_padded_mt,
 )
-from gapdeck.deck import (
-    ExactOverflowError,
-    GapParams,
-    deck_equal,
-    enumerate_deck,
-    verify_eq7,
-)
+from gapdeck.deck import GapParams, deck_equal, enumerate_deck, verify_eq7
 from gapdeck.search import search_G, search_G_star, search_exact_D, search_SU
 from gapdeck.strings import format_binary, parse_binary, parse_wildcard
 from gapdeck.wildcard import (
@@ -428,7 +423,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ValueError, OSError, ExactOverflowError, BrokenExecutor, MemoryError) as exc:
+    except (ValueError, OSError, OverflowError, BrokenExecutor, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

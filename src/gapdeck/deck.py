@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from math import comb
 from typing import NamedTuple
@@ -300,16 +300,9 @@ class Eq7Report:
         return self.plain_equal and self.lr_equal and self.l_equal and self.r_equal
 
     def to_record(self) -> dict:
-        return {
-            "plain_equal": self.plain_equal,
-            "lr_equal": self.lr_equal,
-            "l_equal": self.l_equal,
-            "r_equal": self.r_equal,
-            "s": self.params.s,
-            "k": self.params.k,
-            "mode": self.mode,
-            "all_equal": self.all_equal,
-        }
+        rec = asdict(self)
+        rec["s"], rec["k"] = rec.pop("params")
+        return {**rec, "all_equal": self.all_equal}
 
 
 def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq7Report:

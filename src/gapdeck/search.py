@@ -316,9 +316,11 @@ def _hash_groups(h: np.ndarray) -> list:
     return groups
 
 
-def _guard_params(params, deck_kind: str) -> tuple:
-    """Validate the kind and its params; return the params, GapParams(s, k)
-    for the deck kinds and (k1, k2) for WILDCARD_U."""
+def _guard_params(params, deck_kind: str, workers: int) -> tuple:
+    """Validate the kind, its params and the worker count; return the params,
+    GapParams(s, k) for the deck kinds and (k1, k2) for WILDCARD_U."""
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     kinds = DECK_KINDS + (WILDCARD_U,)
     if deck_kind not in kinds:
         raise ValueError(f"deck_kind must be one of {kinds}, got {deck_kind!r}")
@@ -354,7 +356,7 @@ def find_collision(
     under exact confirmation) and the seconds spent hashing, sorting and
     confirming.
     """
-    params = _guard_params(params, deck_kind)
+    params = _guard_params(params, deck_kind, workers)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if deck_kind == EQ7_STAR and n < 2:
@@ -441,7 +443,7 @@ def find_collision(
 
 
 def _scan(params, n_max, deck_kind, workers, checkpoint):
-    params = _guard_params(params, deck_kind)  # also when no length is scanned
+    params = _guard_params(params, deck_kind, workers)  # also when no length is scanned
     floor = 1 if deck_kind == WILDCARD_U else params.s * (params.k - 1) + 1
     scanned = []
     notes = []

@@ -16,7 +16,7 @@ computed — the harness asserts nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
 from gapdeck.deck import ExactOverflowError, GapParams, verify_eq7
@@ -170,19 +170,8 @@ class Lemma3Report:
         )
 
     def to_record(self) -> dict:
-        return {
-            "hypothesis_eq7": self.hypothesis_eq7,
-            "hypothesis_uequiv": self.hypothesis_uequiv,
-            "distinct": self.distinct,
-            "conclusion_plain": self.conclusion_plain,
-            "conclusion_l": self.conclusion_l,
-            "conclusion_r": self.conclusion_r,
-            "conclusion_lr": self.conclusion_lr,
-            "depth": self.depth,
-            "mode": self.mode,
-            "hypotheses_true": self.hypotheses_true,
-            "conclusions_true": self.conclusions_true,
-        }
+        return {**asdict(self), "hypotheses_true": self.hypotheses_true,
+                "conclusions_true": self.conclusions_true}
 
 
 def lemma3_check(inst: Lemma3Instance) -> Lemma3Report:

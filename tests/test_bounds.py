@@ -3,6 +3,7 @@ import pytest
 from gapdeck.bounds import (
     CLOSED_FORM,
     EXACT,
+    MINIMA,
     PADDED,
     BoundReport,
     best_bound,
@@ -106,17 +107,23 @@ def test_best_bound_table():
         best_bound(1)
 
 
+def _exact_G(s):
+    """The ledger's exact G_s(k) minima, {k: n}."""
+    return {m.params[1]: m.n for m in MINIMA if m.which == "G" and m.params[0] == s and m.exact}
+
+
 def test_search_values_respect_bounds():
-    # exhaustively computed minima (see test_search) against the formulas
-    assert 6 <= padded_bound(2)
-    assert 13 <= padded_bound(3)
-    assert 24 <= padded_bound(4)
+    # exhaustively computed minima (the ledger) against the trimmed constructions
+    assert list(_exact_G(2)) == [2, 3, 4]
+    for s in (2, 3):
+        for k, n in _exact_G(s).items():
+            assert n <= s_padded_bound(s, k)
 
 
 def test_summary_table_shape():
     rows = summary_table()
     assert [r.k for r in rows] == list(range(2, 11))
-    assert [r.value for r in rows][:3] == [6, 13, 24]
+    assert [r.value for r in rows][:3] == list(_exact_G(2).values())
     assert all(r.value >= 1 for r in rows)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -42,6 +43,19 @@ def test_bounds_table2(capsys):
     assert len(lines) == 6
     assert "42742211" in lines[0]
     assert "238563374" in lines[5]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["table1"], "ccf9622487c79f15bf5f52e6d6e36f98cbf9d30e9f27cfb8b1e88d0ef150d9e4"),
+    (["table1", "--json"], "b8d3f5869119dafe2a0c3630fdcd2b64e18dd3192825c6f9371722e0d075d2d6"),
+    (["table2"], "2216cffabd23f40a792f6b62feb3e1e34a0e2490185606aa8cd0c9a0f30ec70a"),
+    (["table2", "--json"], "1da0904b4db051ad4882f69288be987e95a2f6439f56eaf93ccee0f9d9554e19"),
+], ids=["table1", "table1-json", "table2", "table2-json"])
+def test_bound_tables_keep_their_bytes(capsys, argv, digest):
+    # both tables, text and JSON, pinned byte for byte by the sha256 of stdout
+    code, out = run(capsys, "bounds", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_deck_listing(capsys):
@@ -240,6 +254,35 @@ def test_search_bad_params_exit_two(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "s must be >= 1" in err
+
+
+_OVERFLOWS = [
+    (["--formula", "closed-form", "--k", "2958"], "cannot convert float infinity to integer"),
+    (["--formula", "closed-form", "--k", "3100"], "Numerical result out of range"),
+    (["--formula", "dudik", "--k1", str(10**300), "--k2", "2"], "int too large to convert"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _OVERFLOWS, ids=["inf", "range", "int"])
+def test_overflowing_bound_exits_two(capsys, argv, message):
+    # a formula whose evaluation leaves the float range decides nothing: exit
+    # 2 with the error, never exit 1 ("the property does not hold")
+    code = main(["bounds", "single", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
+    # refused before any length is scanned, not run serially
+    monkeypatch.setattr("gapdeck.search._hash_range", None)
+    code = main(["search", "G", "--k", "2", "--n-max", "8", "--workers", workers])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: need workers >= 1, got {workers}\n"
 
 
 def test_search_not_found_exits_one(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapdeck import oracle, search
+from gapdeck.bounds import MINIMA
 from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
@@ -40,6 +41,20 @@ from gapdeck.search import (
 )
 from gapdeck.strings import complement, reverse
 from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U, u_equiv
+
+LEDGER = {(m.which, m.params): m for m in MINIMA}
+
+
+def _found(report):
+    """(n, smallest witness) of a report, the witness as the search prints it."""
+    rec = report.to_record()
+    return rec["n"], tuple(rec["witnesses"][0])
+
+
+def _ledger(which, params):
+    """(n, witness) of the ledger's entry for one search."""
+    m = LEDGER[which, params]
+    return m.n, m.witness
 
 
 def test_find_collision_literal_examples():
@@ -84,19 +99,19 @@ def test_find_collision_overflow_guard():
 
 def test_search_G_small_values():
     r = search_G(GapParams(2, 2), 8)
-    assert r.n == 6
+    assert _found(r) == _ledger("G", (2, 2))
     assert r.scanned_lengths == (3, 4, 5, 6)
     x, y = r.witnesses[0]
     assert deck_equal(x, y, GapParams(2, 2))
 
     r = search_G(GapParams(2, 3), 13)
-    assert r.n == 13
+    assert _found(r) == _ledger("G", (2, 3))
     assert deck_equal(*r.witnesses[0], GapParams(2, 3))
 
 
 def test_search_G_classical_gap():
-    for k, expected in ((2, 4), (3, 7), (4, 12)):
-        assert search_G(GapParams(1, k), 12).n == expected
+    for k in (2, 3, 4):
+        assert search_G(GapParams(1, k), 12).n == LEDGER["G", (1, k)].n
 
 
 def test_search_G_open_report():
@@ -107,30 +122,24 @@ def test_search_G_open_report():
 
 
 def test_search_exact_D_minima():
-    assert search_exact_D(GapParams(2, 2), 6).n == 3
-    assert search_exact_D(GapParams(2, 3), 8).n == 5
-    assert search_exact_D(GapParams(2, 4), 10).n == 7
+    for s, k, n_max in ((2, 2, 6), (2, 3, 8), (2, 4, 10), (3, 2, 8)):
+        assert search_exact_D(GapParams(s, k), n_max).n == LEDGER["exactD", (s, k)].n
     # gap 3: the depth-2 slice first exists at length 4, where two strings
     # agreeing at positions 0 and 3 already collide
-    assert search_exact_D(GapParams(3, 2), 8).n == 4
+    assert search_exact_D(GapParams(3, 2), 8).scanned_lengths == (4,)
 
 
 def test_search_G_star_values():
     r = search_G_star(GapParams(2, 1), 6)
-    assert r.n == 4
-    assert r.witnesses[0] == ((0, 0, 1, 0), (0, 1, 0, 0))
+    assert _found(r) == _ledger("Gstar", (2, 1))
     # the depth-1 slice of a length-1 string is not empty: the puncture excludes it
     assert r.notes == ("length 1 excluded: the both-sides puncture needs n >= 2",)
     r2 = search_G_star(GapParams(2, 2), 10)
-    assert r2.n == 8
+    assert _found(r2) == _ledger("Gstar", (2, 2))
     assert r2.notes == ("lengths 1..2 excluded: depth-2 slice is empty there (every pair "
                         "vacuously equal), first meaningful length is 3",)
     # the starred relation refines full-deck equality
     assert r2.n >= search_G(GapParams(2, 2), 10).n
-    r33 = search_G_star(GapParams(3, 3), 19)
-    assert r33.n == 19
-    assert ["".join(map(str, w)) for w in r33.witnesses[0]] == [
-        "0010001010010101010", "0010010000111001010"]
 
 
 @pytest.mark.parametrize("fn, n_max", [(search_G, 6), (search_G_star, 8), (search_exact_D, 4)],
@@ -509,31 +518,21 @@ def test_wildcard_lane_hashes_across_leaf_chunks():
 
 
 def test_search_SU_values():
-    r = search_SU(1)
-    assert (r.n, r.witnesses[0]) == (2, ("XY", "YX"))
-    assert search_SU(2).n == 4
-    r32 = search_SU(3, 2)
-    assert r32.n == 7
-    assert r32.witnesses[0] == ("XYYXXXY", "YXXXYYX")
-    assert r32.deck_kind == "WILDCARD_U"
-    r43 = search_SU(4, 3)
-    assert (r43.n, r43.witnesses[0]) == (12, ("XYYXXXYXXYYX", "YXXXYXYYXXXY"))
-    r53 = search_SU(5, 3)
-    assert (r53.n, r53.witnesses[0]) == (16, ("XYYXXXXXYYYXXXXY", "YXXXXYYYXXXXXYYX"))
-    assert u_equiv(*r53.witnesses[0], USetSpec.pair(5, 3))
+    for params in ((1, None), (2, None), (3, 2), (4, 3), (5, 3)):
+        r = search_SU(*params)
+        assert _found(r) == _ledger("SU", params)
+        assert r.deck_kind == "WILDCARD_U"
+    assert u_equiv(*r.witnesses[0], USetSpec.pair(5, 3))  # r: the last report, U(5,3)'s
 
 
 def test_long_scan_witnesses_hold_under_the_independent_references():
-    # the smallest pairs of search_SU(6, 3 or 4, m_max=23) and of
-    # search_G_star((2, 4), 26), checked without the search layer: the pair is
-    # equal on U(6,3) and U(6,4) and not on U(6,5) or U(7,4), and the G* pair
-    # has equal naive decks before and after each one-bit puncture
-    p, q = "XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY"
+    # the smallest pair of search_SU(6, 3 or 4, m_max=23), checked without the
+    # search layer: equal on U(6,3) and U(6,4), and not on U(6,5) or U(7,4)
+    # (tests/test_minima.py checks the G*_2(4) pair with the naive oracle)
+    p, q = LEDGER["SU", (6, 3)].witness
+    assert LEDGER["SU", (6, 4)].witness == (p, q)
     assert [u_equiv(p, q, USetSpec.pair(*k)) for k in ((6, 3), (6, 4), (6, 5), (7, 4))] == [
         True, True, False, False]
-    x, y = (tuple(map(int, t)) for t in ("00010110011001010101100110",
-                                          "00011001010101100110010110"))
-    assert _eq7_equal_naive(x, y, GapParams(2, 4))
 
 
 @st.composite
