@@ -1,10 +1,11 @@
 """Command-line entry point: every library operation behind one `gapdeck` command.
 
-Exit status convention: 0 = computed and the property holds (or plain output
-was produced), 1 = computed and the property does NOT hold (e.g. `equal`
-finds differing decks, a search exhausts its range without a collision),
-2 = usage or computation error (a refused memory allocation, or a number past
-the range of floats or of 64-bit counts, included: it decides nothing).
+Exit status: 0 = computed and the property holds (or plain output was
+produced), 1 = computed and it does NOT hold (`equal` finds unequal decks, a
+search exhausts its range), 2 = usage or computation error (a refused memory
+allocation or a number past the float or 64-bit range included: it decides
+nothing). main returns 2 for every usage error, argparse's included, with one
+`error:` line on stderr; only --help raises SystemExit.
 Structured output (--json) uses the stable versioned envelope {"schema":
 "gapdeck/1", "command", "params", "result"} and is byte-identical across
 runs, including parallel searches with different worker counts. Progress
@@ -70,10 +71,10 @@ def _resolve_binary(tokens, count=None) -> list:
 
 
 def _need(args, *flags) -> None:
-    """Refuse a missing option as a usage error: ValueError("search G needs --k")."""
+    """Refuse a missing option as a usage error: ValueError("wildcard uequiv needs --k2")."""
     missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
-        words = (getattr(args, a, None) for a in ("command", "which", "family", "table", "op"))
+        words = (getattr(args, a, None) for a in ("command", "table", "op"))
         raise ValueError(f"{' '.join(filter(None, words))} needs {', '.join(missing)}")
 
 
@@ -144,7 +145,6 @@ def cmd_eq7(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    _need(args, "z" if args.family == "exact-family" else "k")
     if args.family == "exact-family":
         x = exact_deck_family(parse_binary(args.z), parse_binary(args.fills), args.s)
         _emit(
@@ -190,11 +190,9 @@ def _report_lines(report) -> list:
 
 def cmd_search(args) -> int:
     if args.which == "SU":
-        _need(args, "k1")
         fn, scan = search_SU, (args.k1, args.k2, args.m_max)
         params = {"which": "SU", "k1": args.k1, "k2": args.k2, "m_max": args.m_max}
     else:
-        _need(args, "k")
         fn = {"G": search_G, "Gstar": search_G_star, "exactD": search_exact_D}[args.which]
         scan = GapParams(args.s, args.k), args.n_max
         params = {"which": args.which, "s": args.s, "k": args.k, "n_max": args.n_max,
@@ -206,14 +204,16 @@ def cmd_search(args) -> int:
 
 def cmd_wildcard(args) -> int:
     if args.op == "count":
-        _need(args, "w", "p")
         value = count_wildcard(parse_wildcard(args.w), parse_wildcard(args.p))
         _emit(args, "wildcard", {"op": "count", "w": args.w, "p": args.p},
               {"count": value}, [str(value)])
         return 0
     if args.op == "uequiv":
-        _need(args, "p", "q", *(("k2",) if args.k1 is not None else ("r", "k")))
-        if args.k1 is not None:
+        pair = args.k1 is not None or args.k2 is not None
+        if pair and (args.r is not None or args.k is not None):
+            raise ValueError("wildcard uequiv takes --r with --k, or --k1 with --k2, not both")
+        _need(args, *(("k1", "k2") if pair else ("r", "k")))
+        if pair:
             spec = USetSpec.pair(args.k1, args.k2)
             fam = {"k1": args.k1, "k2": args.k2}
         else:
@@ -224,14 +224,12 @@ def cmd_wildcard(args) -> int:
               {"equivalent": ok}, ["true" if ok else "false"])
         return 0 if ok else 1
     if args.op == "substitute":
-        _need(args, "p", "x", "y")
         out = substitute(
             parse_wildcard(args.p), parse_binary(args.x), parse_binary(args.y)
         )
         _emit(args, "wildcard", {"op": "substitute"},
               {"string": format_binary(out)}, [format_binary(out)])
         return 0
-    _need(args, "x", "y", "p", "q", "k")  # lemma3
     inst = Lemma3Instance(
         x=parse_binary(args.x),
         y=parse_binary(args.y),
@@ -306,10 +304,6 @@ def cmd_oracle(args) -> int:
         _emit(args, "oracle", {"op": "equal", "s": args.s, "k": args.k},
               {"equal": eq}, ["true" if eq else "false"])
         return 0 if eq else 1
-    _need(args, "n")  # collision
-    if args.strings:
-        raise ValueError(f"oracle collision takes no strings (it enumerates length --n), "
-                         f"got {' '.join(args.strings)}")
     pair = oracle.find_collision_naive(args.n, params)
     found = pair is not None
     rec = {
@@ -322,18 +316,26 @@ def cmd_oracle(args) -> int:
     return 0 if found else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so main reports it like any other."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit the versioned structured record instead of text")
-    common.add_argument("-v", "--verbose", action="store_true",
-                        help="progress logging on stderr")
-    deck_opts = argparse.ArgumentParser(add_help=False)  # deck, equal, eq7, oracle
+    common.add_argument("-v", "--verbose", action="store_true", help="progress logging on stderr")
+    deck_opts = _Parser(add_help=False)  # deck, equal, eq7, search G|Gstar|exactD, oracle
     deck_opts.add_argument("--s", type=int, default=2, help="minimum index gap (default 2)")
     deck_opts.add_argument("--k", type=int, required=True, help="maximum subsequence length")
+    strings = _Parser(add_help=False)  # none at all is refused by _resolve_binary
+    strings.add_argument("strings", nargs="*", help="inline 0/1 string or file of 0/1 lines")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gapdeck",
         description="Gapped-deck toolkit: decks, confusable-pair constructions, "
                     "exhaustive minimal-length searches, wildcard equivalence, "
@@ -346,85 +348,91 @@ def build_parser() -> argparse.ArgumentParser:
         ("equal", cmd_equal, "test gapped-deck equality of two strings"),
         ("eq7", cmd_eq7, "four-way deck equality: plain and all one-bit punctures"),
     ):
-        p = sub.add_parser(name, parents=[common, deck_opts], help=help_)
-        p.add_argument("strings", nargs="+", help="inline 0/1 string or file of 0/1 lines")
+        p = sub.add_parser(name, parents=[common, deck_opts, strings], help=help_)
         if name != "deck":
             p.add_argument("--mode", choices=["exact", "fingerprint"], default="exact")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("construct", parents=[common],
-                       help="emit a confusable-pair construction")
-    p.add_argument("family",
-                   choices=["classical", "padded", "s-padded", "exact-family"])
-    p.add_argument("--k", type=int, help="deck depth of the claimed equality")
-    p.add_argument("--s", type=int, default=2, help="gap (s-padded / exact-family)")
-    p.add_argument("--trimmed", action="store_true",
-                   help="drop the shared end bits (padded / s-padded)")
-    p.add_argument("--z", help="exact-family: the prescribed depth-k subsequence")
-    p.add_argument("--fills", default="", help="exact-family: the (k-1)(s-1) fill bits")
-    p.set_defaults(func=cmd_construct)
+    def operations(name, dest, func, help_):
+        """A command of named operations, each with a parser of its own options."""
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        ops = p.add_subparsers(dest=dest, required=True)
+        return lambda op, *parents: ops.add_parser(op, parents=[common, *parents])
 
-    p = sub.add_parser("search", parents=[common],
-                       help="exhaustive minimal confusable-length search")
-    p.add_argument("which", choices=["G", "Gstar", "exactD", "SU"])
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n-max", type=int, default=24, help="largest length to scan")
-    p.add_argument("--k1", type=int, help="SU: primary depth")
-    p.add_argument("--k2", type=int, default=None, help="SU: secondary depth")
-    p.add_argument("--m-max", type=int, default=16, help="SU: largest length to scan")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint", default=None,
-                   help="directory of per-range hash sidecars, which a resume reads, "
-                        "and search.log, an append-only progress record")
-    p.set_defaults(func=cmd_search)
+    op = operations("construct", "family", cmd_construct,
+                    "emit a confusable-pair construction")
+    depth = _Parser(add_help=False)
+    depth.add_argument("--k", type=int, required=True, help="deck depth")
+    op("classical", depth)
+    for family, opts in (("padded", depth), ("s-padded", deck_opts)):
+        op(family, opts).add_argument("--trimmed", action="store_true", help="drop shared end bits")
+    p = op("exact-family")
+    p.add_argument("--z", required=True, help="the prescribed depth-k subsequence")
+    p.add_argument("--fills", default="", help="the (k-1)(s-1) fill bits")
+    p.add_argument("--s", type=int, default=2, help="minimum index gap (default 2)")
 
-    p = sub.add_parser("wildcard", parents=[common],
-                       help="wildcard pattern counts, U-equivalence, substitution")
-    p.add_argument("op", choices=["count", "uequiv", "substitute", "lemma3"])
-    p.add_argument("--w", help="count: pattern over X/Y/J")
-    p.add_argument("--p", help="J-free string over X/Y")
-    p.add_argument("--q", help="second J-free string (uequiv / lemma3)")
-    p.add_argument("--r", type=int, help="uequiv: non-wildcard count (single form)")
-    p.add_argument("--k", type=int, help="uequiv single form: max length; lemma3: depth")
-    p.add_argument("--k1", type=int, help="uequiv pair form")
-    p.add_argument("--k2", type=int, help="uequiv pair form")
-    p.add_argument("--x", help="lemma3 / substitute: first binary string")
-    p.add_argument("--y", help="lemma3 / substitute: second binary string")
-    p.add_argument("--sigma", type=int, default=0, help="lemma3: depth offset")
-    p.set_defaults(func=cmd_wildcard)
+    op = operations("search", "which", cmd_search,
+                    "exhaustive minimal confusable-length search")
+    scan = _Parser(add_help=False)
+    scan.add_argument("--workers", type=int, default=1)
+    scan.add_argument("--checkpoint", default=None,
+                      help="directory of per-range hash sidecars, which a resume reads, "
+                           "and search.log, an append-only progress record")
+    for which in ("G", "Gstar", "exactD"):
+        op(which, deck_opts, scan).add_argument("--n-max", type=int, default=24,
+                                                help="largest length to scan")
+    p = op("SU", scan)
+    p.add_argument("--k1", type=int, required=True, help="primary depth")
+    p.add_argument("--k2", type=int, help="secondary depth")
+    p.add_argument("--m-max", type=int, default=16, help="largest length to scan")
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="closed-form and recursive upper bounds")
-    p.add_argument("table", choices=["single", "table1", "table2"])
+    op = operations("wildcard", "op", cmd_wildcard,
+                    "wildcard pattern counts, U-equivalence, substitution")
+    words = {"w": "pattern over X/Y/J", "p": "J-free string over X/Y", "q": "second J-free string",
+             "x": "first binary string", "y": "second binary string"}
+    wild = {name: op(name) for name in ("count", "uequiv", "substitute", "lemma3")}
+    for p, flags in zip(wild.values(), ("wp", "pq", "pxy", "xypq")):
+        for flag in flags:
+            p.add_argument(f"--{flag}", required=True, help=words[flag])
+    for flag, help_ in (("--r", "U_r(k): non-J count"), ("--k", "U_r(k): max length"),
+                        ("--k1", "U(k1,k2) = U_1(k1) u U_2(k2)"), ("--k2", "U(k1,k2)")):
+        wild["uequiv"].add_argument(flag, type=int, help=help_)  # cmd_wildcard checks the form
+    wild["lemma3"].add_argument("--k", type=int, required=True, help="depth")
+    wild["lemma3"].add_argument("--sigma", type=int, default=0, help="depth offset")
+
+    op = operations("bounds", "table", cmd_bounds, "closed-form and recursive upper bounds")
+    p = op("single")  # _single_bound checks the options --formula needs
     p.add_argument("--formula", default="best", choices=list(_FORMULAS))
-    p.add_argument("--k", type=int)
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--k2", type=int)
-    p.set_defaults(func=cmd_bounds)
+    for flag in ("--k", "--k1", "--k2"):
+        p.add_argument(flag, type=int)
+    op("table1")
+    op("table2")
 
-    p = sub.add_parser("oracle", parents=[common, deck_opts],
-                       help="naive enumeration cross-checks (slow, reference only)")
-    p.add_argument("op", choices=["deck", "equal", "collision"])
-    p.add_argument("strings", nargs="*")
-    p.add_argument("--n", type=int, help="collision: string length to enumerate")
-    p.set_defaults(func=cmd_oracle)
-
+    op = operations("oracle", "op", cmd_oracle,
+                    "naive enumeration cross-checks (slow, reference only)")
+    op("deck", deck_opts, strings)
+    op("equal", deck_opts, strings)
+    op("collision", deck_opts).add_argument("--n", type=int, required=True,
+                                            help="string length to enumerate")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except (ValueError, OSError, OverflowError, BrokenExecutor, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # a float power's OverflowError carries (errno, strerror): print the strerror
+        errno_style = isinstance(exc, OverflowError) and len(exc.args) == 2
+        print(f"error: {exc.args[1] if errno_style else str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
 
 

@@ -455,6 +455,9 @@ def _scan(params, n_max, deck_kind, workers, checkpoint):
     elif deck_kind == EQ7_STAR:  # depth 1: the slice is not empty at n = 1
         floor = 2
         notes.append("length 1 excluded: the both-sides puncture needs n >= 2")
+    bound = "m_max" if deck_kind == WILDCARD_U else "n_max"
+    if n_max < floor:  # a verdict over no length would decide nothing
+        raise ValueError(f"{bound}={n_max} scans no length: the first meaningful length is {floor}")
     for n in range(floor, n_max + 1):
         log.info("scanning n=%d (%s, %s)", n, deck_kind, ", ".join(_tags(params, deck_kind)))
         pair = find_collision(n, params, deck_kind, workers, checkpoint)

@@ -1,15 +1,18 @@
+import argparse
 import hashlib
 import json
 import os
+import pathlib
 import re
 import resource
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import gapdeck
-from gapdeck.cli import main
+from gapdeck.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -206,11 +209,13 @@ def test_search_G_json_envelope_bytes(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--mode", "fingerprint"], ["--primes", "5"]])
-def test_search_has_no_fingerprint_options(flags):
+def test_search_has_no_fingerprint_options(capsys, flags):
     # searches always confirm exactly; fingerprinting stays on equal and eq7
-    with pytest.raises(SystemExit) as err:
-        main(["search", "G", "--s", "2", "--k", "2", "--n-max", "8", *flags])
-    assert err.value.code == 2
+    code = main(["search", "G", "--s", "2", "--k", "2", "--n-max", "8", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: gapdeck: unrecognized arguments: {' '.join(flags)}\n"
 
 
 def test_equal_fingerprint_mode_still_works(capsys):
@@ -259,19 +264,21 @@ def test_search_bad_params_exit_two(capsys):
 _OVERFLOWS = [
     (["--formula", "closed-form", "--k", "2958"], "cannot convert float infinity to integer"),
     (["--formula", "closed-form", "--k", "3100"], "Numerical result out of range"),
-    (["--formula", "dudik", "--k1", str(10**300), "--k2", "2"], "int too large to convert"),
+    (["--formula", "dudik", "--k1", str(10**300), "--k2", "2"],
+     "int too large to convert to float"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _OVERFLOWS, ids=["inf", "range", "int"])
 def test_overflowing_bound_exits_two(capsys, argv, message):
     # a formula whose evaluation leaves the float range decides nothing: exit
-    # 2 with the error, never exit 1 ("the property does not hold")
+    # 2 with the error, never exit 1 ("the property does not hold"); an
+    # errno-style OverflowError prints its strerror, not its argument tuple
     code = main(["bounds", "single", *argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -375,7 +382,7 @@ def test_oracle_bad_params_exit_two(capsys, argv, name):
 @pytest.mark.parametrize("argv, problem", [
     (["deck", "--k", "2"], "needs at least one string"),
     (["deck", "--k", "2", "--json"], "needs at least one string"),
-    (["collision", "0101", "--n", "3", "--k", "2"], "takes no strings"),
+    (["collision", "0101", "--n", "3", "--k", "2"], "unrecognized arguments: 0101"),
 ], ids=["deck-no-string", "deck-no-string-json", "collision-with-string"])
 def test_oracle_string_count_exits_two(capsys, argv, problem):
     # as `gapdeck deck` refuses no string, the oracle refuses a string count
@@ -456,9 +463,11 @@ def test_pass_beyond_physical_memory_exits_two(capsys, monkeypatch):
 def test_usage_error_exits_two(capsys):
     code, _ = run(capsys, "equal", "01", "--k", "2")  # only one string
     assert code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["equal", "01", "10"])  # missing required --k
-    assert err.value.code == 2
+    code = main(["equal", "01", "10"])  # missing required --k
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: gapdeck equal: the following arguments are required: --k\n"
 
 
 def test_construct_exact_family(capsys):
@@ -468,9 +477,123 @@ def test_construct_exact_family(capsys):
     assert out == "10001\n"
 
 
-def test_every_subcommand_has_help():
-    for cmd in ("deck", "equal", "eq7", "construct", "search",
-                "wildcard", "bounds", "oracle"):
-        with pytest.raises(SystemExit) as err:
-            main([cmd, "--help"])
-        assert err.value.code == 0
+def _operations():
+    """(command, {operation: parser}) for every gapdeck command."""
+    def choices(parser):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return subs[0].choices if subs else {}
+    return [(cmd, choices(p)) for cmd, p in choices(build_parser()).items()]
+
+
+def test_every_subcommand_has_help(capsys):
+    for cmd, ops in _operations():
+        for argv in ([cmd, "--help"], *([cmd, op, "--help"] for op in ops)):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+# a valid command line of each operation, to which a stray option is added
+_VALID = {
+    "construct classical": "--k 2", "construct padded": "--k 2",
+    "construct s-padded": "--k 2", "construct exact-family": "--z 101",
+    "search G": "--k 2", "search Gstar": "--k 2", "search exactD": "--k 2",
+    "search SU": "--k1 3",
+    "wildcard count": "--w JX --p YXYX", "wildcard uequiv": "--p XY --q YX --r 1 --k 2",
+    "wildcard substitute": "--p XY --x 0 --y 1",
+    "wildcard lemma3": "--x 0010 --y 0100 --p XYYXXXY --q YXXXYYX --k 1",
+    "bounds single": "--k 3", "bounds table1": "", "bounds table2": "",
+    "oracle deck": "01 --k 2", "oracle equal": "01 10 --k 2",
+    "oracle collision": "--n 3 --k 2",
+}
+
+
+def _stray_options():
+    """(argv, flag): each operation given an option only a sibling operation declares."""
+    cases = []
+    for cmd, ops in _operations():
+        declared = {op: {flag: action for action in p._actions for flag in action.option_strings}
+                    for op, p in ops.items()}
+        for op in ops:
+            siblings = {flag: action for other in ops for flag, action in declared[other].items()}
+            for flag, action in siblings.items():
+                if flag not in declared[op]:
+                    value = [] if action.nargs == 0 else [(action.choices or ["3"])[0]]
+                    valid = shlex.split(_VALID[f"{cmd} {op}"])
+                    cases.append(([cmd, op, *valid, flag, *value], flag))
+    return cases
+
+
+_STRAY = _stray_options()
+
+
+@pytest.mark.parametrize("argv, flag", _STRAY, ids=[f"{a[0]}-{a[1]}{f}" for a, f in _STRAY])
+def test_stray_option_exits_two(capsys, argv, flag):
+    # an option that only a sibling operation reads is refused, not ignored
+    build_parser().parse_args(argv[:argv.index(flag)])  # the rest is valid
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert flag in captured.err
+
+
+_REFUSALS = [
+    (["equal", "01", "10"], "gapdeck equal: the following arguments are required: --k"),
+    (["deck", "01", "--k", "2", "--bogus"], "gapdeck: unrecognized arguments: --bogus"),
+    (["search", "--json", "G", "--k", "2"], "gapdeck: unrecognized arguments: --json"),
+    (["search", "H", "--k", "2"], "gapdeck search: argument which: invalid choice: 'H'"),
+    (["deck", "--k", "2"], "needs at least one string, got none"),
+    (["oracle", "deck", "--k", "2"], "needs at least one string, got none"),
+    (["wildcard", "uequiv", "--p", "XY", "--q", "YX", "--k1", "3"],
+     "wildcard uequiv needs --k2"),
+    (["wildcard", "uequiv", "--p", "XY", "--q", "YX", "--k2", "2"],
+     "wildcard uequiv needs --k1"),
+    (["wildcard", "uequiv", "--p", "XY", "--q", "YX", "--r", "1"],
+     "wildcard uequiv needs --k"),
+    (["wildcard", "uequiv", "--p", "XY", "--q", "YX", "--k1", "3", "--k2", "2", "--k", "2"],
+     "wildcard uequiv takes --r with --k, or --k1 with --k2, not both"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSALS, ids=[
+    "missing", "unknown", "misplaced", "bad-operation", "deck-no-string",
+    "oracle-deck-no-string", "uequiv-no-k2", "uequiv-no-k1", "uequiv-no-k", "uequiv-mixed"])
+def test_every_refusal_returns_two(capsys, argv, message):
+    # one path for every usage error: main returns 2 with one line on
+    # stderr; only --help raises SystemExit
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, bound, floor", [
+    (["G", "--k", "4", "--n-max", "5"], "n_max=5", 7),
+    (["Gstar", "--k", "1", "--n-max", "1"], "n_max=1", 2),
+    (["SU", "--k1", "3", "--k2", "2", "--m-max", "0"], "m_max=0", 1),
+], ids=["G", "Gstar", "SU"])
+def test_scan_below_its_floor_exits_two(capsys, monkeypatch, argv, bound, floor):
+    # a bound below the first meaningful length scans nothing, so it
+    # decides nothing: refused before any length (find_collision is never
+    # called), never reported as "no collision"
+    monkeypatch.setattr("gapdeck.search.find_collision", None)
+    code = main(["search", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {bound} scans no length: "
+                            f"the first meaningful length is {floor}\n")
+
+
+def test_readme_cli_examples_parse():
+    # parse only: the G_2(4) example takes seconds to run
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("gapdeck ")]
+    assert len(lines) == len(block.splitlines()) > 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
