@@ -285,6 +285,12 @@ _FORMULAS = {
 
 def _single_bound(args) -> bounds_mod.BoundReport:
     fn, formula_id, names = _FORMULAS[args.formula]
+    stray = [f"--{f}" for f in ("s", "k", "k1", "k2")
+             if f not in names and getattr(args, f) is not None]
+    if stray:
+        raise ValueError(f"bounds single --formula {args.formula} does not read {', '.join(stray)}")
+    if "s" in names and args.s is None:
+        args.s = 2  # the gap of s-padded when --s is not given
     _need(args, *names)
     values = {name: getattr(args, name) for name in names}
     if formula_id is None:
@@ -304,6 +310,9 @@ def cmd_oracle(args) -> int:
         _emit(args, "oracle", {"op": "equal", "s": args.s, "k": args.k},
               {"equal": eq}, ["true" if eq else "false"])
         return 0 if eq else 1
+    floor = args.s * (args.k - 1) + 1
+    if args.n < floor:  # as in search G: every pair is vacuously equal below it
+        raise ValueError(f"n={args.n} is below the first meaningful length {floor}")
     pair = oracle.find_collision_naive(args.n, params)
     found = pair is not None
     rec = {
@@ -402,10 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     wild["lemma3"].add_argument("--sigma", type=int, default=0, help="depth offset")
 
     op = operations("bounds", "table", cmd_bounds, "closed-form and recursive upper bounds")
-    p = op("single")  # _single_bound checks the options --formula needs
+    p = op("single")  # _single_bound checks that --formula reads exactly the options given
     p.add_argument("--formula", default="best", choices=list(_FORMULAS))
-    p.add_argument("--s", type=int, default=2)
-    for flag in ("--k", "--k1", "--k2"):
+    for flag in ("--s", "--k", "--k1", "--k2"):
         p.add_argument(flag, type=int)
     op("table1")
     op("table2")

@@ -11,24 +11,23 @@ there are no other moduli).
 
 Counting is one recurrence over the columns of a pattern trie: column 0 is
 the empty prefix, pinned at 1, and the nonempty prefixes of the patterns
-follow in (length, lex) order. When position i (letter c) is consumed, every
-column ending in c (or in the wildcard J) absorbs the count of its parent
-prefix as of position i-s, which enforces the gap. For the full binary deck
-the columns form a binary heap (pattern w sits at pattern_index(w) + 1, the
-children of column j are 2j+1 and 2j+2), so the update tables of
-_deck_tables are two strided slices and every update reads and writes views;
-_trie_tables builds index arrays for any other pattern list (one pattern, a
-wildcard family). _run_pass runs the recurrence over one string in a
-(rows, width) uint64 state: one row of exact counts, or, in FINGERPRINT mode,
-one row per prime, reduced by a conditional subtract against the moduli
-column built once at import. A pass whose live states would not fit in
-physical memory is refused with MemoryError before it allocates. It returns
-its ring of the last s+1 states; the one before the last letter is in it, so
-the four punctured decks of Eq. 7 take two passes (_punctured_counts, the one
-place that takes punctured decks). The prefix-tree kernel of gapdeck.search
-(and of its wildcard-family search) walks each chunk's fixed top bits with
-_run_pass and grows the tree from its ring, the gap window, on the same
-tables. Exact counting has one overflow guard, _check_exact: the gap-aware
+follow. When position i (letter c) is consumed, every column ending in c
+absorbs the count of its parent prefix as of position i-s, which enforces the
+gap. For the full binary deck the columns form a binary heap (pattern w sits
+at pattern_index(w) + 1, the children of column j are 2j+1 and 2j+2), so the
+update tables of _deck_tables are two strided slices and every update reads
+and writes views. The one other trie is count_gapped's single pattern w, a
+chain whose column j is w[:j]. _run_pass runs the recurrence over one
+string in a (rows, width) uint64 state: one row of exact counts, or, in
+FINGERPRINT mode, one row per prime, reduced by a conditional subtract
+against the moduli column built once at import. A pass whose live states
+would not fit in physical memory is refused with MemoryError before it
+allocates. It returns its ring of the last s+1 states; the one before the
+last letter is in it, so the four punctured decks of Eq. 7 take two passes
+(_punctured_counts, the one place that takes punctured decks). The
+prefix-tree kernel of gapdeck.search (its wildcard-family search included)
+walks each chunk's fixed top bits with _run_pass and grows the tree from its
+ring, the gap window, on the same deck tables. Exact counting has one overflow guard, _check_exact: the gap-aware
 bound C(n-(l-1)(s-1), l) on any count of length l <= k must stay below 2^64.
 """
 from __future__ import annotations
@@ -97,31 +96,6 @@ def slice_bound(n: int, s: int, ell: int) -> int:
     """C(n - (ell-1)(s-1), ell): total gapped index tuples of length ell."""
     top = n - (ell - 1) * (s - 1)
     return comb(top, ell) if top >= ell else 0
-
-
-def _trie_tables(patterns, alphabet=(0, 1)):
-    """Update tables of the counting recurrence for any pattern list.
-
-    Column 0 is the empty prefix, whose count is pinned at 1; the distinct
-    nonempty prefixes of the patterns follow in (length, lex) order. On
-    letter alphabet[c], every column whose last symbol is that letter or the
-    wildcard "J" absorbs the gap-ready count of its prefix column. Returns
-    the (dst, src) index arrays per letter and the {prefix: column} map.
-    """
-    seen = {}  # insertion-ordered, so a sorted prefix-closed list sorts in one pass
-    for w in patterns:
-        while w and w not in seen:  # w and its prefixes, up to the first one seen
-            seen[w] = None
-            w = w[:-1]
-    prefixes = sorted(seen, key=lambda p: (len(p), p))
-    cols = {p: i for i, p in enumerate(prefixes, 1)}
-    parent = np.asarray([0] + [cols.get(p[:-1], 0) for p in prefixes], dtype=np.intp)
-    tables = []
-    for c in alphabet:
-        dst = [j for p, j in cols.items() if p[-1] == c or p[-1] == "J"]
-        dst = np.asarray(dst, dtype=np.intp)
-        tables.append((dst, parent[dst]))
-    return tables, cols
 
 
 def _deck_tables(k: int) -> list:
@@ -244,8 +218,10 @@ def count_gapped(w: tuple, x: tuple, s: int) -> int:
     _check_params((s, len(w)))
     w = tuple(w)
     _check_exact(len(x), s, len(w))
-    tables, cols = _trie_tables([w])
-    return int(_run_pass(x, s, tables, len(cols) + 1)[-1][0, cols[w]])
+    # the trie of one pattern is a chain: column j is w[:j], and letter c
+    # adds column j-1 to column j wherever w[j-1] == c
+    dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
+    return int(_run_pass(x, s, [(d, d - 1) for d in dst], len(w) + 1)[-1][0, -1])
 
 
 def signature(x: tuple, params: GapParams, mode: str = "exact") -> DeckSignature:

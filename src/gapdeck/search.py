@@ -23,25 +23,25 @@ range instead of once per string. Level i holds the DP state (the pinned
 empty-prefix column 0, then the pattern counts in the deck's heap order) of
 every length-i prefix in code order; level i+1 repeats each row twice, and
 the rows ending in bit b add the prefix-count columns of their ancestor at
-level max(0, i+1-s), which enforces the gap. For decks those columns are
-strided slices, so the update reads and writes views; a general trie (a
-wildcard family) uses index arrays. Only levels through max(n-s, 0) are
-materialised: the lane is linear in the counts, so the last s levels are
-one-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b], and the cost
-is about 2^(n+1-s) row updates. A code range is an aligned block, cut into
-chunks of at most 2^16 strings. deck._run_pass walks a chunk's fixed top bits
-(at most max(n-s, 0) of them: a smaller block is sliced out of its chunk), and
-the ring of states it returns is the gap window the chunk's tree grows from.
+level max(0, i+1-s), which enforces the gap. Those columns are strided
+slices, so the update reads and writes views. Only levels through
+max(n-s, 0) are materialised: the lane is linear in the counts, so the last
+s levels are one-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b],
+and the cost is about 2^(n+1-s) row updates. A code range is an aligned
+block, cut into chunks of at most 2^16 strings and 2^21 cells (strings times
+deck width). deck._run_pass walks a chunk's fixed top bits (at most
+max(n-s, 0) of them: a smaller block is sliced out of its chunk), and the
+ring of states it returns is the gap window the chunk's tree grows from.
 EQ7_STAR sums two trees, the plain one and one over the code mod 2^(n-1)
 (the L puncture: drop the first bit). Each folds its parent-level puncture
 (R, LR) into one summed lane vector through level n-1, and its last step adds
 its own lanes alone.
 
-search_SU is the same search over {X, Y} (deck kind WILDCARD_U): the tree runs
-at gap 1 on the trie of a wildcard family, whose J columns update on both
-letters, and the lane matrix hashes the family's columns only, as EXACT_D
-hashes only the depth-k slice. Its hash groups are confirmed by count_wildcard,
-the independent reference, and its ranges, checkpoints, workers and telemetry
+search_SU is the same search over {X, Y} (deck kind WILDCARD_U), on the
+classical deck of depth k1: a family pattern counts the occurrences of every
+binary pattern it stands for (X is 0, Y is 1, J is either), so its multiplier
+goes on each of them. Its hash groups are confirmed by count_wildcard, the
+independent reference, and its ranges, checkpoints, workers and telemetry
 are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
 Hash groups: tied lanes are read off one sort of the lane (below a search's
@@ -61,6 +61,7 @@ import time
 import zipfile
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -72,8 +73,8 @@ from gapdeck.deck import (
     _deck_tables,
     _punctured_counts,
     _run_pass,
-    _trie_tables,
     pattern_count,
+    pattern_index,
     signature,
 )
 from gapdeck.wildcard import USetSpec, count_wildcard, enumerate_U
@@ -89,7 +90,8 @@ DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)  # the binary kinds; WILDCARD_U is sear
 
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
-_LEAF_BITS = 16  # leaf chunks of at most 2^16 rows bound the working set
+_LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
+_LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x deck width)
 _SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
 
 
@@ -142,15 +144,16 @@ def _extend(prev: np.ndarray, ready: np.ndarray, tables) -> np.ndarray:
     return nxt.reshape(-1, width)
 
 
-def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
-    """The (hi-lo,) lane counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes].
+def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
+    """The (hi-lo,) lane counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes]
+    of the depth-k deck at gap s.
 
     [lo, hi) must be an aligned power-of-two block. Each of its aligned chunks
-    of at most 2^_LEAF_BITS codes fixes its top bits, at most through the last
-    count level m = max(n-s, 0), so a block smaller than 2^s codes is hashed
-    as its enclosing chunk and sliced. deck._run_pass walks a chunk's top bits,
-    and its ring is the gap window (the last s levels), which _extend grows
-    through level m. Then a matmul at level m, and a lane step per level below
+    of at most 2^_LEAF_BITS codes and _LEAF_CELLS cells fixes its top bits, at
+    most through the last count level m = max(n-s, 0), so a block smaller than
+    2^s codes is hashed as its enclosing chunk and sliced. deck._run_pass walks
+    a chunk's top bits, and its ring is the gap window (the last s levels),
+    which _extend grows through level m. Then a matmul at level m, and a lane step per level below
     it, h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
     columns on their src rows), step j reading ready = ring[j]. The lane is
     linear in the counts, so h(y.b) = counts(y) @ (leaf_lanes + parent_lanes)
@@ -159,16 +162,18 @@ def _tree_hashes(n, s, tables, width, lo, hi, leaf_lanes, parent_lanes=None) -> 
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
+    tables, width = _deck_tables(k), pattern_count(k) + 1
     m = max(n - s, 0)
-    depth = min(n - min(size.bit_length() - 1, _LEAF_BITS), m)  # a chunk's top bits
+    bits = min(_LEAF_BITS, (_LEAF_CELLS // width).bit_length() - 1)  # a chunk's codes
+    depth = min(n - min(size.bit_length() - 1, bits), m)  # a chunk's top bits
     span = 1 << (n - depth)
     base = lo - lo % span
     leaf = np.concatenate(([np.uint64(0)], leaf_lanes))  # pinned column 0
     lanes = leaf if parent_lanes is None else leaf + np.concatenate(([np.uint64(0)], parent_lanes))
-    step, last = np.zeros((2, width, len(tables)), dtype=np.uint64)  # of lanes, of leaf
+    step, last = np.zeros((2, width, 2), dtype=np.uint64)  # of lanes, of leaf
     for b, (dst, src) in enumerate(tables):
-        np.add.at(step[:, b], src, lanes[dst])
-        np.add.at(last[:, b], src, leaf[dst])
+        step[src, b] = lanes[dst]
+        last[src, b] = leaf[dst]
     h = np.empty(max(size, span), dtype=np.uint64)
     for start in range(base, hi, span):
         top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
@@ -193,39 +198,46 @@ def _family(k1: int, k2: Optional[int]) -> tuple:
     return tuple(enumerate_U(USetSpec.pair(k1, k2)))  # validates k1 >= k2 >= 2
 
 
+def _family_lanes(k1: int, k2: Optional[int]) -> np.ndarray:
+    """The family's multipliers on the classical depth-k1 deck: each pattern's
+    on every binary pattern it stands for (X is 0, Y is 1, J is either),
+    summed mod 2^64, so the deck's lane is the family counts' lane."""
+    family = _family(k1, k2)
+    letters = {"X": (0,), "Y": (1,), "J": (0, 1)}
+    lanes = np.zeros(pattern_count(k1), dtype=np.uint64)
+    for w, a in zip(family, _hash_lanes(len(family))):
+        lanes[[pattern_index(v) for v in product(*(letters[c] for c in w))]] += a
+    return lanes
+
+
 def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int):
     """The hash lane of the codes lo..hi-1 at length n.
 
     (a, b) are the search's params: (s, k) for the deck kinds, (k1, k2) for
     WILDCARD_U. The lane is the wrapping uint64 dot product of the kind's
     counts with fixed odd multipliers; EQ7_STAR concatenates the
-    plain, L, R and LR punctured counts, EXACT_D keeps only the depth-k slice
-    and WILDCARD_U only the family's columns of its trie.
+    plain, L, R and LR punctured counts, EXACT_D keeps only the depth-k slice,
+    and WILDCARD_U dots the classical depth-k1 deck with _family_lanes.
     """
     if deck_kind == WILDCARD_U:
-        family = _family(a, b)
-        tables, cols = _trie_tables(family, "XY")
-        lanes = np.zeros(len(cols), dtype=np.uint64)
-        lanes[[cols[w] - 1 for w in family]] = _hash_lanes(len(family))
-        return _tree_hashes(n, 1, tables, len(cols) + 1, lo, hi, lanes)
+        return _tree_hashes(n, 1, a, lo, hi, _family_lanes(a, b))
     s, P = a, pattern_count(b)
-    tree = s, _deck_tables(b), P + 1
     if deck_kind == EQ7_STAR:
         plain, left, right, both = np.split(_hash_lanes(4 * P), 4)
-        h = _tree_hashes(n, *tree, lo, hi, plain, right)
+        h = _tree_hashes(n, s, b, lo, hi, plain, right)
         # x[1:] is code mod 2^(n-1): one subtree, or the whole tree twice
         half = 1 << (n - 1)
         size = min(hi - lo, half)
         h += np.tile(
-            _tree_hashes(n - 1, *tree, lo % half, lo % half + size, left, both),
+            _tree_hashes(n - 1, s, b, lo % half, lo % half + size, left, both),
             (hi - lo) // size,
         )
     elif deck_kind == EXACT_D:
         lanes = np.zeros(P, dtype=np.uint64)
         lanes[(1 << b) - 2 :] = _hash_lanes(1 << b)
-        h = _tree_hashes(n, *tree, lo, hi, lanes)
+        h = _tree_hashes(n, s, b, lo, hi, lanes)
     else:
-        h = _tree_hashes(n, *tree, lo, hi, _hash_lanes(P))
+        h = _tree_hashes(n, s, b, lo, hi, _hash_lanes(P))
     return h
 
 

@@ -332,6 +332,8 @@ _SINGLE_BOUNDS = [
      '{"formula_id": "PADDED", "k": 4, "rounding": "exact", "value": 58}'),
     (["s-padded", "--s", "3", "--k", "4"],
      '{"formula_id": "S_PADDED", "k": 4, "rounding": "exact", "s": 3, "value": 93}'),
+    (["s-padded", "--k", "4"],  # the gap defaults to 2
+     '{"formula_id": "S_PADDED", "k": 4, "rounding": "exact", "s": 2, "value": 58}'),
     (["kappa", "--k1", "5", "--k2", "3"],
      '{"formula_id": "KAPPA", "k1": 5, "k2": 3, "rounding": "exact", "value": 34}'),
     (["dudik", "--k1", "5", "--k2", "3"],
@@ -360,6 +362,39 @@ def test_bounds_single_formula(capsys):
         assert code == 0
         assert out == ('{"command": "bounds", "params": {"table": "single"}, '
                        '"result": [%s], "schema": "gapdeck/1"}\n' % rec), args
+
+
+_FOREIGN_OPTION = [
+    (["kappa", "--k1", "5", "--k2", "3", "--k", "4"], "--k"),
+    (["padded", "--k", "4", "--s", "3"], "--s"),
+    (["best", "--k", "3", "--k2", "2"], "--k2"),
+    (["s-padded", "--k", "4", "--k1", "3"], "--k1"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _FOREIGN_OPTION, ids=[a[0] for a, _ in _FOREIGN_OPTION])
+def test_bounds_single_refuses_options_its_formula_does_not_read(capsys, argv, flag):
+    # `single` declares every formula's options; one the formula ignores is refused
+    code = main(["bounds", "single", "--formula", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: bounds single --formula {argv[0]} does not read {flag}\n"
+
+
+def test_oracle_collision_refuses_lengths_below_the_floor(capsys):
+    # below s(k-1)+1 every pair is vacuously equal: search G refuses such a
+    # length, and so does the oracle, instead of printing a witness
+    code = main(["oracle", "collision", "--n", "3", "--k", "2", "--s", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: n=3 is below the first meaningful length 6\n"
+    assert main(["search", "G", "--s", "5", "--k", "2", "--n-max", "3"]) == 2
+    capsys.readouterr()
+    code, out = run(capsys, "oracle", "collision", "--n", "6", "--k", "2", "--s", "5")
+    assert code == 0
+    assert out == "witness 000010 000100\n"
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -423,7 +458,7 @@ def test_deck_listing_matches_the_oracle(capsys, tmp_path):
 
 
 _HUGE_K = [["equal", "01", "10"], ["oracle", "equal", "01", "10"], ["oracle", "deck", "01"],
-           ["oracle", "collision", "--n", "2"]]
+           ["oracle", "collision", "--n", "79"]]  # 79 = s(k-1)+1, the first meaningful length
 
 
 @pytest.mark.parametrize("argv", _HUGE_K, ids=["_".join(argv[:2]) for argv in _HUGE_K])

@@ -13,7 +13,6 @@ from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
     _deck_tables,
-    _trie_tables,
     count_gapped,
     deck_equal,
     enumerate_deck,
@@ -55,16 +54,17 @@ def test_pattern_order_is_length_then_lex():
     assert pattern_count(3) == 14
 
 
-def test_deck_tables_are_the_heap_order_of_the_trie_tables():
-    # the closed-form slices select exactly the columns the general trie
-    # builder finds for the full binary deck, pinned empty prefix at column 0
+def test_deck_tables_are_the_heap_order_of_the_patterns():
+    # the closed-form slices select, for letter c, the columns of the
+    # patterns that end in c and the columns of their parents, in the same
+    # order: pattern w at pattern_index(w) + 1, the empty prefix at column 0
     for k in range(1, 9):
-        tables, cols = _trie_tables(patterns_upto(k))
-        assert cols == {w: pattern_index(w) + 1 for w in patterns_upto(k)}
-        width = pattern_count(k) + 1
-        for (dst, src), (want_dst, want_src) in zip(_deck_tables(k), tables):
-            assert np.array_equal(np.arange(width)[dst], want_dst)
-            assert np.array_equal(np.arange(width)[src], want_src)
+        columns = np.arange(pattern_count(k) + 1)
+        for c, (dst, src) in enumerate(_deck_tables(k)):
+            ends = [w for w in patterns_upto(k) if w[-1] == c]
+            assert columns[dst].tolist() == [pattern_index(w) + 1 for w in ends]
+            assert columns[src].tolist() == [pattern_index(w[:-1]) + 1 if len(w) > 1 else 0
+                                             for w in ends]
 
 
 def test_enumerate_deck_worked_example():

@@ -15,10 +15,11 @@ from gapdeck.bounds import MINIMA
 from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
-    _run_pass,
-    _trie_tables,
     deck_equal,
     exact_deck_equal,
+    pattern_count,
+    pattern_index,
+    patterns_upto,
     signature,
     verify_eq7,
 )
@@ -547,21 +548,38 @@ def _families(draw):
 @settings(max_examples=60, deadline=None)
 @given(_families(), st.text(alphabet="XY", max_size=10))
 def test_wildcard_kernel_matches_count_wildcard(family, p):
-    # both kernels over the family's trie: one pass over p, and the prefix
-    # tree that search_SU walks, hashing the one-code block p at length
-    # len(p) with a unit lane per family column, which reads back its count
-    tables, cols = _trie_tables(family, "XY")
-    want = [count_wildcard(w, p) for w in family]
-    row = _run_pass(["XY".index(c) for c in p], 1, tables, len(cols) + 1)[-1][0]
-    assert [int(row[cols[w]]) for w in family] == want
+    # the prefix tree that search_SU walks, on the classical deck at gap 1:
+    # hashing the one-code block p at length len(p) with a unit lane on each
+    # binary pattern that a family pattern matches reads back its count
+    k = max(map(len, family))
     code = int("0" + p.translate(str.maketrans("XY", "01")), 2)
     got = []
     for w in family:
-        unit = np.zeros(len(cols), dtype=np.uint64)
-        unit[cols[w] - 1] = 1
-        (count,) = _tree_hashes(len(p), 1, tables, len(cols) + 1, code, code + 1, unit)
+        unit = np.zeros(pattern_count(k), dtype=np.uint64)
+        for v in patterns_upto(k):
+            if len(v) == len(w) and all(c in ("J", "XY"[b]) for c, b in zip(w, v)):
+                unit[pattern_index(v)] = 1
+        (count,) = _tree_hashes(len(p), 1, k, code, code + 1, unit)
         got.append(int(count))
-    assert got == want
+    assert got == [count_wildcard(w, p) for w in family]
+
+
+def test_wide_decks_keep_each_level_within_the_cell_budget(monkeypatch):
+    # U(9, 5) hashes the classical depth-9 deck, 1023 columns wide: its
+    # chunks hold fewer codes than 2^16, so no level grows past the budget
+    cells, extend = [], search._extend
+
+    def counted(prev, ready, tables):
+        nxt = extend(prev, ready, tables)
+        cells.append(nxt.size)
+        return nxt
+
+    monkeypatch.setattr(search, "_extend", counted)
+    h = _lane_hashes(18, 9, 5, WILDCARD_U, 0, 1 << 16)
+    assert cells and max(cells) <= search._LEAF_CELLS
+    family = _su_family(9, 5)
+    for code in random.Random(95).sample(range(1 << 16), 20):
+        assert int(h[code]) == _reference_u_lanes(code, 18, family)
 
 
 def _loaded_and_computed(caplog):
