@@ -103,7 +103,7 @@ MINIMA = (
     Minimum("SU", (5, 3), 16, ("XYYXXXXXYYYXXXXY", "YXXXXYYYXXXXXYYX")),
     Minimum("SU", (6, 3), 23, ("XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY")),
     Minimum("SU", (6, 4), 23, ("XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY")),
-    Minimum("SU", (7, 4), 27, None, exact=False),
+    Minimum("SU", (7, 4), 28, None, exact=False),
 )
 
 
@@ -122,16 +122,14 @@ def s_padded_bound(s: int, k: int) -> int:
 
 
 def kappa(k1: int, k2: int) -> int:
-    """k1^2 + k2^2*(k2-1)/2; the half is always integral."""
-    if k2 < 2:
-        raise ValueError(f"need k2 >= 2, got {k2}")
+    """k1^2 + k2^2*(k2-1)/2; the half is always integral. Needs k1 >= k2 >= 2."""
+    if not k1 >= k2 >= 2:
+        raise ValueError(f"need k1 >= k2 >= 2, got k1={k1}, k2={k2}")
     return k1 * k1 + k2 * k2 * (k2 - 1) // 2
 
 
 def dudik_su_bound(k1: int, k2: int) -> int:
-    """floor(kappa * (lg kappa + lg lg kappa + 1)), lg = log base 2."""
-    if not k1 >= k2 >= 2:
-        raise ValueError(f"need k1 >= k2 >= 2, got k1={k1}, k2={k2}")
+    """floor(kappa * (lg kappa + lg lg kappa + 1)), lg = log base 2; kappa checks k1 >= k2 >= 2."""
     kap = kappa(k1, k2)
     lg = math.log2(kap)
     return math.floor(kap * (lg + math.log2(lg) + 1.0))

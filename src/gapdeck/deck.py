@@ -27,7 +27,8 @@ last letter is in it, so the four punctured decks of Eq. 7 take two passes
 (_punctured_counts, the one place that takes punctured decks). The
 prefix-tree kernel of gapdeck.search (its wildcard-family search included)
 walks each chunk's fixed top bits with _run_pass and grows the tree from its
-ring, the gap window, on the same deck tables. Exact counting has one overflow guard, _check_exact: the gap-aware
+ring, the gap window, on the columns and tables of the depth-(k-1) deck.
+Exact counting has one overflow guard, _check_exact: the gap-aware
 bound C(n-(l-1)(s-1), l) on any count of length l <= k must stay below 2^64.
 """
 from __future__ import annotations

@@ -19,19 +19,20 @@ being reported as collisions, as is length 1 of search_G_star at depth 1
 (its both-sides puncture needs n >= 2).
 
 The hashing runs the deck engine's recurrence over the prefix tree of a code
-range instead of once per string. Level i holds the DP state (the pinned
-empty-prefix column 0, then the pattern counts in the deck's heap order) of
-every length-i prefix in code order; level i+1 repeats each row twice, and
-the rows ending in bit b add the prefix-count columns of their ancestor at
-level max(0, i+1-s), which enforces the gap. Those columns are strided
-slices, so the update reads and writes views. Only levels through
-max(n-s, 0) are materialised: the lane is linear in the counts, so the last
-s levels are one-column lane steps, h(x.b) = h(x) + ready[src_b] @ L[dst_b],
-and the cost is about 2^(n+1-s) row updates. A code range is an aligned
-block, cut into chunks of at most 2^16 strings and 2^21 cells (strings times
-deck width). deck._run_pass walks a chunk's fixed top bits (at most
-max(n-s, 0) of them: a smaller block is sliced out of its chunk), and the
-ring of states it returns is the gap window the chunk's tree grows from.
+range instead of once per string. Level i holds the narrow DP state of every
+length-i prefix in code order: the pinned empty-prefix column 0 and the
+patterns shorter than k, the first 2^k - 1 columns in the deck's heap order
+(the depth-(k-1) deck). Only these are read back as a gap-ready parent, so
+only they are grown: level i+1 repeats each row twice, and the rows ending in
+bit b add the columns of their ancestor at level max(0, i+1-s), as strided
+views. The lane is linear in the counts, so one rule carries it down every
+level, h(y.b) = h(y) + ready[src_b] @ L[dst_b] (ready: that ancestor's narrow
+row), and the tree stops at level max(n-s, 0), the last read as gap-ready. A
+code range is an aligned block, cut into chunks of at most 2^16 strings and
+2^21 grown cells. deck._run_pass walks a chunk's fixed top bits on the full
+deck (at most max(n-s, 0) of them: a smaller block is sliced out of its
+chunk); its last state starts the chunk's lane, and its ring, cut to the
+narrow columns, is the gap window the chunk's tree grows from.
 EQ7_STAR sums two trees, the plain one and one over the code mod 2^(n-1)
 (the L puncture: drop the first bit). Each folds its parent-level puncture
 (R, LR) into one summed lane vector through level n-1, and its last step adds
@@ -91,7 +92,7 @@ DECK_KINDS = (FULL_B, EXACT_D, EQ7_STAR)  # the binary kinds; WILDCARD_U is sear
 _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
-_LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x deck width)
+_LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x the 2^k - 1 grown columns)
 _SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
 
 
@@ -149,41 +150,40 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
     of the depth-k deck at gap s.
 
     [lo, hi) must be an aligned power-of-two block. Each of its aligned chunks
-    of at most 2^_LEAF_BITS codes and _LEAF_CELLS cells fixes its top bits, at
-    most through the last count level m = max(n-s, 0), so a block smaller than
-    2^s codes is hashed as its enclosing chunk and sliced. deck._run_pass walks
-    a chunk's top bits, and its ring is the gap window (the last s levels),
-    which _extend grows through level m. Then a matmul at level m, and a lane step per level below
-    it, h(x.b) = h(x) + ready @ moved[b] (moved[b]: the lanes of letter b's dst
-    columns on their src rows), step j reading ready = ring[j]. The lane is
-    linear in the counts, so h(y.b) = counts(y) @ (leaf_lanes + parent_lanes)
-    + ready @ moved[b] of leaf_lanes: the summed lanes through level n-1, then
-    a last step of the leaf lanes."""
+    of at most 2^_LEAF_BITS codes and _LEAF_CELLS grown cells fixes its top
+    bits, at most through level m = max(n-s, 0), so a block smaller than 2^s
+    codes is hashed as its enclosing chunk and sliced. Every level below them
+    is one rule, h(y.b) = h(y) + ready @ moved[b]: ready is ring[0], the
+    narrow row of the gap-ready ancestor at level max(0, i+1-s), and moved[b]
+    the lanes of the columns letter b adds it to. _extend grows the narrow
+    tree through m. The lane is linear in the counts, so h(y.b) = counts(y)
+    @ (leaf_lanes + parent_lanes) + ready @ moved[b] of leaf_lanes: the
+    summed lanes through level n-1, then a last step of the leaf lanes."""
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
     tables, width = _deck_tables(k), pattern_count(k) + 1
+    narrow = (1 << k) - 1  # the root and the patterns shorter than k
     m = max(n - s, 0)
-    bits = min(_LEAF_BITS, (_LEAF_CELLS // width).bit_length() - 1)  # a chunk's codes
+    bits = min(_LEAF_BITS, (_LEAF_CELLS // narrow).bit_length() - 1)  # a chunk's codes
     depth = min(n - min(size.bit_length() - 1, bits), m)  # a chunk's top bits
     span = 1 << (n - depth)
     base = lo - lo % span
-    leaf = np.concatenate(([np.uint64(0)], leaf_lanes))  # pinned column 0
-    lanes = leaf if parent_lanes is None else leaf + np.concatenate(([np.uint64(0)], parent_lanes))
-    step, last = np.zeros((2, width, 2), dtype=np.uint64)  # of lanes, of leaf
-    for b, (dst, src) in enumerate(tables):
-        step[src, b] = lanes[dst]
-        last[src, b] = leaf[dst]
+    lanes = leaf_lanes if parent_lanes is None else leaf_lanes + parent_lanes
+    # moved, of lanes and of leaf: heap column j's children are patterns 2j and 2j+1
+    step, last = lanes.reshape(narrow, 2), leaf_lanes.reshape(narrow, 2)
     h = np.empty(max(size, span), dtype=np.uint64)
     for start in range(base, hi, span):
         top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
-        ring = deque(_run_pass(top, s, tables, width), maxlen=s)  # levels depth+1-s .. depth
-        for _ in range(depth, m):
-            ring.append(_extend(ring[-1], ring[0], tables))
-        part = ring[-1] @ lanes
-        for j in range(n - m):
-            add = ring[j] @ (last if m + j == n - 1 else step)
-            part = (part.reshape(len(ring[j]), -1, 1) + add[:, None, :]).reshape(-1)
+        ring = _run_pass(top, s, tables, width)  # levels depth-s .. depth
+        part = ring[-1][:, 1:] @ lanes  # column 0, the pinned root, carries no lane
+        ring = deque((state[:, :narrow] for state in ring), maxlen=s)
+        for i in range(depth, n):
+            ready = ring[0] if i < m else ring.popleft()  # level max(0, i+1-s)
+            add = ready @ (last if i == n - 1 else step)
+            part = (part.reshape(len(ready), -1, 1) + add[:, None, :]).reshape(-1)
+            if i < m:
+                ring.append(_extend(ring[-1], ready, _deck_tables(k - 1)))
         h[start - base : start - base + span] = part
     return h[lo - base : hi - base]
 

@@ -58,8 +58,9 @@ def test_kappa_values():
     assert kappa(2, 2) == 6
     assert kappa(3, 2) == 11
     assert kappa(4, 3) == 25
-    with pytest.raises(ValueError):
-        kappa(3, 1)
+    for k1, k2 in ((3, 1), (-5, 2), (2, 3)):  # needs k1 >= k2 >= 2, as dudik_su_bound does
+        with pytest.raises(ValueError, match="need k1 >= k2 >= 2"):
+            kappa(k1, k2)
 
 
 def test_dudik_bound_values():

@@ -382,6 +382,18 @@ def test_bounds_single_refuses_options_its_formula_does_not_read(capsys, argv, f
     assert captured.err == f"error: bounds single --formula {argv[0]} does not read {flag}\n"
 
 
+@pytest.mark.parametrize("formula", ["kappa", "dudik"])
+@pytest.mark.parametrize("k1, k2", [(-5, 2), (2, 3)], ids=["k1-negative", "k1-below-k2"])
+def test_su_bounds_refuse_k1_below_k2(capsys, formula, k1, k2):
+    # kappa is defined for the families U(k1, k2) with k1 >= k2 >= 2 only,
+    # as the Dudik-Schulman bound built on it is
+    code = main(["bounds", "single", "--formula", formula, "--k1", str(k1), "--k2", str(k2)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: need k1 >= k2 >= 2, got k1={k1}, k2={k2}\n"
+
+
 def test_oracle_collision_refuses_lengths_below_the_floor(capsys):
     # below s(k-1)+1 every pair is vacuously equal: search G refuses such a
     # length, and so does the oracle, instead of printing a witness

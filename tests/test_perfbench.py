@@ -8,9 +8,9 @@ import pytest
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load(name):
-    """A perfbench module, loaded from its path as a script beside it."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load(name, where=PERFBENCH):
+    """A perfbench (or tools) module, loaded from its path as a script beside it."""
+    spec = importlib.util.spec_from_file_location(f"{where.name}_{name}", where / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,3 +45,22 @@ def test_workloads_match_their_references(name, tmp_path):
     if name != "certify":
         assert counters["search.strings_hashed"] > 0
         assert counters["search.ckpt.ranges_recomputed_on_resume"] == 0
+
+
+def test_bench_records_read_every_workload_and_metric():
+    # tools/bench.py summarises run.py's output into BENCH_<tag>.json: its
+    # workloads and metric directions are BENCHMARK.json's, run.py takes each
+    # of them, and a pair counts for the change only when it reads better in
+    # that direction
+    bench = _load("bench", PERFBENCH.parent / "tools")
+    run = _load("run")
+    benchmark = bench._benchmark()
+    assert {w["name"] for w in benchmark["workloads"]} <= set(run.WORKLOADS)
+    assert list(bench._directions(benchmark)) == [name for name, _ in run.END_TO_END]
+    directions = {"wall_s": "lower", "strings_per_s": "higher"}
+    base = {"metrics": {m: bench._summary([1.0, 2.0, 3.0, 4.0]) for m in directions}}
+    mine = {"metrics": {m: bench._summary([0.5, 2.5, 1.0, 1.0]) for m in directions}}
+    versus = bench._versus(mine, base, directions)
+    assert versus["wall_s"] == {"ratio": 0.4, "baseline_iqr": 1.5, "median_gap": 1.5,
+                                "better_pairs": 3, "pairs": 4}
+    assert versus["strings_per_s"]["better_pairs"] == 1

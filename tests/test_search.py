@@ -582,6 +582,35 @@ def test_wide_decks_keep_each_level_within_the_cell_budget(monkeypatch):
         assert int(h[code]) == _reference_u_lanes(code, 18, family)
 
 
+def test_tree_grows_only_the_prefix_columns(monkeypatch):
+    # the length-k columns are never read back as a gap-ready parent, so the
+    # tree grows the 2^k - 1 prefix columns (the depth-(k-1) deck) alone and
+    # carries the lane down it; the lanes stay those of the full deck
+    widths, extend = [], search._extend
+
+    def recorded(prev, ready, tables):
+        nxt = extend(prev, ready, tables)
+        widths.append(nxt.shape[1])
+        return nxt
+
+    monkeypatch.setattr(search, "_extend", recorded)
+    n = 14
+    for deck_kind in DECK_KINDS:
+        for s in (1, 2, 3, 4):
+            widths.clear()
+            h = _lane_hashes(n, s, 3, deck_kind, 0, 1 << n)
+            assert widths and set(widths) == {(1 << 3) - 1}, (deck_kind, s)
+            for code in random.Random(s).sample(range(1 << n), 20):
+                assert int(h[code]) == _reference_lanes(code, n, s, 3, deck_kind)
+    for k1, k2 in ((4, 3), (5, None)):
+        widths.clear()
+        h = _lane_hashes(n, k1, k2, WILDCARD_U, 0, 1 << n)
+        assert widths and set(widths) == {(1 << k1) - 1}, (k1, k2)
+        family = _su_family(k1, k2)
+        for code in random.Random(k1).sample(range(1 << n), 20):
+            assert int(h[code]) == _reference_u_lanes(code, n, family)
+
+
 def _loaded_and_computed(caplog):
     """(computed, loaded) range counts of each find_collision INFO line."""
     found = (re.search(r"ranges (\d+) computed / (\d+) loaded", r.getMessage())
