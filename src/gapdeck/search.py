@@ -20,19 +20,19 @@ being reported as collisions, as is length 1 of search_G_star at depth 1
 
 The hashing runs the deck engine's recurrence over the prefix tree of a code
 range instead of once per string. Level i holds the narrow DP state of every
-length-i prefix in code order: the pinned empty-prefix column 0 and the
-patterns shorter than k, the first 2^k - 1 columns in the deck's heap order
-(the depth-(k-1) deck). Only these are read back as a gap-ready parent, so
-only they are grown: level i+1 repeats each row twice, and the rows ending in
-bit b add the columns of their ancestor at level max(0, i+1-s), as strided
-views. The lane is linear in the counts, so one rule carries it down every
-level, h(y.b) = h(y) + ready[src_b] @ L[dst_b] (ready: that ancestor's narrow
-row), and the tree stops at level max(n-s, 0), the last read as gap-ready. A
-code range is an aligned block, cut into chunks of at most 2^16 strings and
-2^21 grown cells. deck._run_pass walks a chunk's fixed top bits on the full
-deck (at most max(n-s, 0) of them: a smaller block is sliced out of its
-chunk); its last state starts the chunk's lane, and its ring, cut to the
-narrow columns, is the gap window the chunk's tree grows from.
+length-i prefix: the pinned empty prefix and the patterns shorter than k, the
+deck's first 2^k - 1 columns, the only ones read back as a gap-ready parent.
+It is letter-major (a row's newest letter is its top index bit) and held as
+(2^k - 1, rows): level i+1 is [level i + letter-0 update | level i + letter-1
+update], row r's ancestor at level max(0, i+1-s) is row r mod that level's
+size, and every update runs along the rows. The lane is linear in the counts,
+so one rule carries it down every level, h(y.b) = h(y) + ready[src_b] @
+L[dst_b] (ready: that ancestor's columns), through level max(n-s, 0), the
+last read as gap-ready. A code range is an aligned block, cut into chunks of
+at most 2^16 strings and 2^21 grown cells. deck._run_pass walks a chunk's top
+bits (at most max(n-s, 0): a smaller block is sliced out of its chunk); its
+states are the gap window the tree grows from, and one bit-reversal gather
+puts the chunk's lanes in code order (in place, in a one-process search).
 EQ7_STAR sums two trees, the plain one and one over the code mod 2^(n-1)
 (the L puncture: drop the first bit). Each folds its parent-level puncture
 (R, LR) into one summed lane vector through level n-1, and its last step adds
@@ -60,7 +60,6 @@ import multiprocessing
 import os
 import time
 import zipfile
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -126,39 +125,56 @@ class CollisionReport:
         }
 
 
+@functools.cache  # every range of a search reads the same lanes
 def _hash_lanes(width: int) -> np.ndarray:
-    """A lane of fixed odd 64-bit multipliers (deterministic)."""
+    """A read-only lane of fixed odd 64-bit multipliers (deterministic)."""
     rng = np.random.default_rng(_HASH_SEED)
-    return rng.integers(1, 2**63, size=width, dtype=np.uint64) | np.uint64(1)
+    lanes = rng.integers(1, 2**63, size=width, dtype=np.uint64) | np.uint64(1)
+    lanes.flags.writeable = False
+    return lanes
+
+
+def _bit_reversal(f: int) -> np.ndarray:
+    """The f-bit reversal index, [2 rev_(f-1) | 2 rev_(f-1) + 1], in one array."""
+    rev = np.zeros(1 << f, dtype=np.intp)
+    for i in range(f):
+        np.add(rev[: 1 << i], rev[: 1 << i], out=rev[: 1 << i])
+        np.add(rev[: 1 << i], 1, out=rev[1 << i : 2 << i])
+    return rev
 
 
 def _extend(prev: np.ndarray, ready: np.ndarray, tables) -> np.ndarray:
-    """The prefix-tree level after `prev`: row r extends row r >> 1 by bit r & 1.
+    """The prefix-tree level after `prev`, both held transposed as (columns,
+    rows): [prev + letter-0 update | prev + letter-1 update].
 
-    Its gap-ready state is its ancestor in `ready` (level max(0, i+1-s)), which
-    reshaping each half to (rows of ready, rest, ...) lines up by broadcasting.
+    A row's newest letter is its top index bit, so the gap-ready ancestor of
+    row r in `ready` (level max(0, i+1-s), R rows) is row r mod R: each half,
+    split to (columns, rest, R), lines up with it by broadcasting.
     """
-    width = prev.shape[1]
-    nxt = np.repeat(prev, 2, axis=0).reshape(len(ready), -1, 2, width)
-    for b, (dst, src) in enumerate(tables):
-        nxt[:, :, b, dst] += ready[:, None, src]
-    return nxt.reshape(-1, width)
+    nxt = np.empty((len(prev), 2, prev.shape[1]), dtype=np.uint64)
+    nxt[:] = prev[:, None]
+    halves = nxt.reshape(len(prev), 2, -1, ready.shape[1])
+    for letter, (dst, src) in enumerate(tables):
+        halves[dst, letter] += ready[src, None]
+    return nxt.reshape(len(prev), -1)
 
 
-def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
+def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None, out=None) -> np.ndarray:
     """The (hi-lo,) lane counts(x) @ leaf_lanes [+ counts(x[:-1]) @ parent_lanes]
-    of the depth-k deck at gap s.
+    of the depth-k deck at gap s, written into `out` if given.
 
     [lo, hi) must be an aligned power-of-two block. Each of its aligned chunks
     of at most 2^_LEAF_BITS codes and _LEAF_CELLS grown cells fixes its top
     bits, at most through level m = max(n-s, 0), so a block smaller than 2^s
-    codes is hashed as its enclosing chunk and sliced. Every level below them
-    is one rule, h(y.b) = h(y) + ready @ moved[b]: ready is ring[0], the
-    narrow row of the gap-ready ancestor at level max(0, i+1-s), and moved[b]
-    the lanes of the columns letter b adds it to. _extend grows the narrow
-    tree through m. The lane is linear in the counts, so h(y.b) = counts(y)
-    @ (leaf_lanes + parent_lanes) + ready @ moved[b] of leaf_lanes: the
-    summed lanes through level n-1, then a last step of the leaf lanes."""
+    codes is hashed as its enclosing chunk and sliced. Below them _extend
+    grows the narrow tree through m, letter-major and transposed, and every
+    level is one rule along the rows, h(y.b) = h(y) + ready @ moved[b]: ready
+    is the narrow columns of the gap-ready ancestor at level max(0, i+1-s),
+    and moved[b] the lanes of the columns letter b adds it to.
+    The lane is linear in the counts, so h(y.b) = counts(y) @ (leaf_lanes +
+    parent_lanes) + ready @ moved[b] of leaf_lanes: the summed lanes through
+    level n-1, then a last step of the leaf lanes. One bit-reversal gather
+    per chunk puts the lanes in code order."""
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
@@ -172,20 +188,24 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None) -> np.ndarray:
     lanes = leaf_lanes if parent_lanes is None else leaf_lanes + parent_lanes
     # moved, of lanes and of leaf: heap column j's children are patterns 2j and 2j+1
     step, last = lanes.reshape(narrow, 2), leaf_lanes.reshape(narrow, 2)
-    h = np.empty(max(size, span), dtype=np.uint64)
+    h = np.empty(size, dtype=np.uint64) if out is None else out
+    rev = _bit_reversal(n - depth)[lo - base : lo - base + size]  # code order
+    levels = [None] * (s + 1 + max(m - depth, 0))  # a chunk's levels depth-s .. m
     for start in range(base, hi, span):
         top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
         ring = _run_pass(top, s, tables, width)  # levels depth-s .. depth
         part = ring[-1][:, 1:] @ lanes  # column 0, the pinned root, carries no lane
-        ring = deque((state[:, :narrow] for state in ring), maxlen=s)
+        levels[: s + 1] = (state[0, :narrow, None] for state in ring)
         for i in range(depth, n):
-            ready = ring[0] if i < m else ring.popleft()  # level max(0, i+1-s)
-            add = ready @ (last if i == n - 1 else step)
-            part = (part.reshape(len(ready), -1, 1) + add[:, None, :]).reshape(-1)
-            if i < m:
-                ring.append(_extend(ring[-1], ready, _deck_tables(k - 1)))
-        h[start - base : start - base + span] = part
-    return h[lo - base : hi - base]
+            ready = levels[i + 1 - depth]  # level max(0, i+1-s)
+            add = np.einsum("jr,jb->br", ready, last if i == n - 1 else step)
+            part = (part.reshape(-1, ready.shape[1]) + add[:, None]).reshape(-1)
+            if i < m:  # free the last chunk's level i+1 first: the allocator reuses
+                j = i + 1 - depth + s  # its block, where freeing a whole chunk at once
+                levels[j] = None  # can get the heap trimmed and its pages faulted again
+                levels[j] = _extend(levels[j - 1], ready, _deck_tables(k - 1))
+        np.take(part, rev, out=h[start - base : start - base + len(rev)], mode="clip")
+    return h
 
 
 @functools.cache  # every length, range and confirmation of a search reads it
@@ -210,8 +230,8 @@ def _family_lanes(k1: int, k2: Optional[int]) -> np.ndarray:
     return lanes
 
 
-def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int):
-    """The hash lane of the codes lo..hi-1 at length n.
+def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int, out=None):
+    """The hash lane of the codes lo..hi-1 at length n, written into `out` if given.
 
     (a, b) are the search's params: (s, k) for the deck kinds, (k1, k2) for
     WILDCARD_U. The lane is the wrapping uint64 dot product of the kind's
@@ -220,25 +240,20 @@ def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int):
     and WILDCARD_U dots the classical depth-k1 deck with _family_lanes.
     """
     if deck_kind == WILDCARD_U:
-        return _tree_hashes(n, 1, a, lo, hi, _family_lanes(a, b))
+        return _tree_hashes(n, 1, a, lo, hi, _family_lanes(a, b), out=out)
     s, P = a, pattern_count(b)
     if deck_kind == EQ7_STAR:
         plain, left, right, both = np.split(_hash_lanes(4 * P), 4)
-        h = _tree_hashes(n, s, b, lo, hi, plain, right)
+        h = _tree_hashes(n, s, b, lo, hi, plain, right, out)
         # x[1:] is code mod 2^(n-1): one subtree, or the whole tree twice
         half = 1 << (n - 1)
         size = min(hi - lo, half)
-        h += np.tile(
-            _tree_hashes(n - 1, s, b, lo % half, lo % half + size, left, both),
-            (hi - lo) // size,
-        )
-    elif deck_kind == EXACT_D:
-        lanes = np.zeros(P, dtype=np.uint64)
-        lanes[(1 << b) - 2 :] = _hash_lanes(1 << b)
-        h = _tree_hashes(n, s, b, lo, hi, lanes)
-    else:
-        h = _tree_hashes(n, s, b, lo, hi, _hash_lanes(P))
-    return h
+        h.reshape(-1, size)[:] += _tree_hashes(n - 1, s, b, lo % half, lo % half + size, left, both)
+        return h
+    lanes = _hash_lanes(P)
+    if deck_kind == EXACT_D:  # the depth-k slice alone
+        lanes = np.concatenate((np.zeros(P - (1 << b), dtype=np.uint64), _hash_lanes(1 << b)))
+    return _tree_hashes(n, s, b, lo, hi, lanes, out=out)
 
 
 def _hash_range(args):
@@ -395,7 +410,7 @@ def find_collision(
         pending.append((n, *params, deck_kind, lo, hi))
 
     def store(i, lo, hi, lanes):
-        h[lo:hi] = lanes
+        h[lo:hi] = lanes  # a no-op when the lanes were written in place
         if checkpoint is not None:
             _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), lanes)
             with open(os.path.join(checkpoint, "search.log"), "a") as fh:
@@ -410,7 +425,7 @@ def find_collision(
         os.makedirs(checkpoint, exist_ok=True)
     if workers <= 1 or len(pending) <= 1:
         for i, task in enumerate(pending, 1):
-            store(i, *_hash_range(task))
+            store(i, *task[-2:], _lane_hashes(*task, h[task[-2] : task[-1]]))
     else:  # a worker that dies raises BrokenProcessPool here instead of hanging
         ctx = multiprocessing.get_context("fork")
         pool = concurrent.futures.ProcessPoolExecutor(min(workers, len(pending)), mp_context=ctx)
@@ -526,7 +541,7 @@ def search_SU(
     Single-depth form (k2 None): family U_1(k1), needs k1 >= 1.
 
     Each length m is one find_collision of kind WILDCARD_U over {X, Y}: the
-    family counts are hashed on the prefix tree of its trie, and the smallest
+    classical depth-k1 deck is hashed with _family_lanes, and the smallest
     pair in a shared group (the smallest first string, then its smallest
     partner) is confirmed with count_wildcard.
     """

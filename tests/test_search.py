@@ -15,6 +15,8 @@ from gapdeck.bounds import MINIMA
 from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
+    _deck_tables,
+    _run_pass,
     deck_equal,
     exact_deck_equal,
     pattern_count,
@@ -590,7 +592,7 @@ def test_tree_grows_only_the_prefix_columns(monkeypatch):
 
     def recorded(prev, ready, tables):
         nxt = extend(prev, ready, tables)
-        widths.append(nxt.shape[1])
+        widths.append(nxt.shape[0])
         return nxt
 
     monkeypatch.setattr(search, "_extend", recorded)
@@ -609,6 +611,66 @@ def test_tree_grows_only_the_prefix_columns(monkeypatch):
         family = _su_family(k1, k2)
         for code in random.Random(k1).sample(range(1 << n), 20):
             assert int(h[code]) == _reference_u_lanes(code, n, family)
+
+
+def _check_levels(levels, n, s, k, lo, hi, per_level=None):
+    """Every grown level of the block [lo, hi), as _extend returned it, holds
+    deck._run_pass's narrow state over each prefix that it stands for.
+
+    Each chunk grows levels depth+1 .. m from 2 rows up. Below the chunk's
+    top bits, row r of a level (its column level[:, r], as the levels are
+    transposed) stands for the letters r & 1, (r >> 1) & 1, ..., the newest
+    letter its most significant bit. per_level, if given, samples that many
+    rows of each level. Returns the number of chunks."""
+    m, narrow = max(n - s, 0), (1 << k) - 1
+    chunks = []
+    for level in levels:
+        if level.shape[1] == 2:
+            chunks.append([])
+        chunks[-1].append(level)
+    rnd = random.Random(n * 100 + s * 10 + k)
+    for j, chunk in enumerate(chunks):
+        depth = m - len(chunk)
+        span = 1 << (n - depth)
+        start = lo - lo % span + j * span
+        top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
+        for ell, level in enumerate(chunk, 1):
+            assert level.shape == (narrow, 1 << ell)
+            rows = range(1 << ell)
+            for r in rows if per_level is None else rnd.sample(rows, min(per_level, len(rows))):
+                prefix = top + [(r >> t) & 1 for t in range(ell)]
+                ring = _run_pass(prefix, s, _deck_tables(k), pattern_count(k) + 1)
+                assert level[:, r].tolist() == ring[-1][0, :narrow].tolist(), (n, s, k, start, ell, r)
+    return len(chunks)
+
+
+@pytest.mark.parametrize("s", (1, 2, 3, 4))
+def test_tree_levels_hold_the_narrow_state_of_their_prefixes(monkeypatch, s):
+    # each level is letter-major and transposed: (2^k - 1 columns, rows),
+    # [previous level + letter-0 update | previous level + letter-1 update]
+    levels, extend = [], search._extend
+
+    def recorded(prev, ready, tables):
+        levels.append(extend(prev, ready, tables))
+        return levels[-1]
+
+    monkeypatch.setattr(search, "_extend", recorded)
+    for k in (1, 2, 3, 4):
+        lanes = _hash_lanes(pattern_count(k))
+        for n, lo, hi in ((9, 0, 1 << 9), (9, 3 << 6, 4 << 6)):  # all codes, a block below 3 top bits
+            levels.clear()
+            _tree_hashes(n, s, k, lo, hi, lanes)
+            _check_levels(levels, n, s, k, lo, hi)
+    # the depth-9 deck: chunks of 2^12 codes, so two of them cover 2^13
+    levels.clear()
+    _tree_hashes(13, s, 9, 0, 1 << 13, _hash_lanes(pattern_count(9)))
+    assert _check_levels(levels, 13, s, 9, 0, 1 << 13, per_level=6) == 2
+
+
+def test_bit_reversal_index():
+    for f in range(17):
+        want = [int(format(c, f"0{f}b")[::-1], 2) for c in range(1 << f)]
+        assert search._bit_reversal(f).tolist() == want
 
 
 def _loaded_and_computed(caplog):
