@@ -20,14 +20,17 @@ and writes views. The one other trie is count_gapped's single pattern w, a
 chain whose column j is w[:j]. _run_pass runs the recurrence over one
 string in a (rows, width) uint64 state: one row of exact counts, or, in
 FINGERPRINT mode, one row per prime, reduced by a conditional subtract
-against the moduli column built once at import. A pass whose live states
-would not fit in physical memory is refused with MemoryError before it
-allocates. It returns its ring of the last s+1 states; the one before the
-last letter is in it, so the four punctured decks of Eq. 7 take two passes
-(_punctured_counts, the one place that takes punctured decks). The
-prefix-tree kernel of gapdeck.search (its wildcard-family search included)
-walks each chunk's fixed top bits with _run_pass and grows the tree from its
-ring, the gap window, on the columns and tables of the depth-(k-1) deck.
+against the moduli tiled to the update's shape once per pass. It may start
+from a given ring of states that stacks several row blocks, all reading the
+same letters. A pass whose live states would not fit in physical memory is
+refused with MemoryError before it allocates. It returns its ring of the
+last s+1 states; the one before the last letter is in it, so the four
+punctured decks of Eq. 7 take one pass over x[1:] whose two blocks start
+from x[0] and from the root (_punctured_counts, the one place that takes
+punctured decks). The prefix-tree kernel of gapdeck.search (its
+wildcard-family search included) walks each chunk's fixed top bits with
+_run_pass and grows the tree from its ring, the gap window, on the columns
+and tables of the depth-(k-1) deck.
 Exact counting has one overflow guard, _check_exact: the gap-aware
 bound C(n-(l-1)(s-1), l) on any count of length l <= k must stay below 2^64.
 """
@@ -133,7 +136,7 @@ def _moduli(mode: str):
     return _MODULI
 
 
-def _run_pass(x, s: int, tables, width: int, mods=None):
+def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     """The ring of the last s+1 states of one pass over x: the counts of
     every trie column after x[:len(x)-s], ..., x[:-1] and x (ring[-1]), with
     the root standing in for a prefix shorter than the empty one.
@@ -145,42 +148,64 @@ def _run_pass(x, s: int, tables, width: int, mods=None):
     first). With mods, _moduli's column, there is one row per modulus, reduced
     by the exact conditional subtract min(v, v - p): residues lie below
     p < 2^62, so v < 2p never wraps, and v - p wraps above v exactly when v < p.
+    `ring`, if given, is the ring to start from instead of the root: s+1
+    states of any stack of such row blocks (in FINGERPRINT mode, blocks of one
+    row per modulus), every block reading the same letters; a pass's own ring
+    continues it. The moduli are tiled once per pass to the full shape of an
+    update, and a pass of one exact row from the root keeps a 1-D state, as
+    (1, width) slicing costs each numpy call more; its ring is returned as
+    (1, width) views all the same.
     Up to min(len(x), s) + 1 ring states and two temporaries are live at once;
     a pass whose states exceed physical memory raises MemoryError up front,
     since a lazily granted allocation would get the process killed instead.
     """
-    rows = 1 if mods is None else len(mods)
+    rows = len(ring[-1]) if ring is not None else 1 if mods is None else len(mods)
     need = 8 * rows * width * (min(len(x), s) + 3)
     if need > _PHYSICAL_BYTES:
         raise MemoryError(
             f"a counting pass needs {need} bytes of state, "
             f"more than the {_PHYSICAL_BYTES} bytes of physical memory"
         )
-    acc = np.zeros((rows, width), dtype=np.uint64)
-    acc[:, 0] = 1
-    ring = deque([acc] * (s + 1), maxlen=s + 1)  # states after i-s .. i letters
+    if ring is None:
+        root = np.zeros(width if mods is None else (rows, width), dtype=np.uint64)
+        root[..., 0] = 1
+        ring = [root] * (s + 1)
+    ring = deque(ring, maxlen=s + 1)  # states after i-s .. i letters
+    acc = ring[-1]
+    if acc.ndim == 2:
+        tables = [((slice(None), dst), (slice(None), src)) for dst, src in tables]
+    lims = None if mods is None else [
+        np.tile(mods, (rows // len(mods), acc[dst].shape[1])) for dst, _ in tables
+    ]
     for c in x:
         dst, src = tables[c]
-        v = acc[:, dst] + ring[1][:, src]
+        v = acc[dst] + ring[1][src]
         acc = acc.copy()
-        acc[:, dst] = v if mods is None else np.minimum(v, v - mods)
+        acc[dst] = v if lims is None else np.minimum(v, v - lims[c])
         ring.append(acc)
-    return ring
+    return ring if acc.ndim == 2 else deque((state[None] for state in ring), maxlen=s + 1)
 
 
 def _punctured_counts(x: tuple, s: int, k: int, mode: str) -> tuple:
-    """Deck counts of x and of its L, R and LR punctures, from two passes.
+    """Deck counts of x and of its L, R and LR punctures, from one pass.
 
-    R = x[:-1] is the state before the last letter of the pass over x, and
-    LR = x[1:-1] the one before the last letter of the pass over x[1:]. Each
-    entry is a (rows, P) array as in _run_pass. Needs len(x) >= 2.
+    The pass runs over x[1:] on two stacked blocks: the first starts from the
+    state after x[0] (the root, plus 1 on the one-letter pattern x[0]), so it
+    ends on x, and the second from the root, so it ends on L = x[1:]. The
+    states before the last letter are R = x[:-1] and LR = x[1:-1]. Each entry
+    is a (rows, P) array as in _run_pass. Needs len(x) >= 2.
     """
     mods = _moduli(mode)
     if mods is None:
         _check_exact(len(x), s, k)
-    tables, width = _deck_tables(k), pattern_count(k) + 1
-    full, left = (_run_pass(y, s, tables, width, mods) for y in (x, x[1:]))
-    return tuple(c[:, 1:] for c in (full[-1], left[-1], full[-2], left[-2]))
+    rows, width = 1 if mods is None else len(mods), pattern_count(k) + 1
+    root = np.zeros((2 * rows, width), dtype=np.uint64)
+    root[:, 0] = 1
+    first = root.copy()
+    first[:rows, 1 + pattern_index(x[:1])] = 1
+    ring = _run_pass(x[1:], s, _deck_tables(k), width, mods, [root] * s + [first])
+    (plain, left), (right, both) = (np.split(c[:, 1:], 2) for c in (ring[-1], ring[-2]))
+    return plain, left, right, both
 
 
 @dataclass(frozen=True)
@@ -285,8 +310,8 @@ class Eq7Report:
 def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq7Report:
     """Check the four-way condition: decks equal before and after every puncture.
 
-    Two passes per string (_punctured_counts); EXACT mode is guarded once, at
-    the full length.
+    One pass per string (_punctured_counts: x and x[1:] stacked in one pass
+    over x[1:]); EXACT mode is guarded once, at the full length.
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")

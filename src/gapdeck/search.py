@@ -47,8 +47,9 @@ are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
 Hash groups: tied lanes are read off one sort of the lane (below a search's
 minimum there are none), and one pass over the lane finds their positions. A
-resume reads the .npz checkpoint sidecars alone; each carries its range key
-(format version, deck kind, params, n, lo:hi), so a foreign or older one is
+resume reads the .npz checkpoint sidecars alone, each lane straight into its
+place in the search's lane array; each carries its range key (format
+version, deck kind, params, n, lo:hi), so a foreign or older one is
 recomputed. search.log is an append-only progress record.
 """
 from __future__ import annotations
@@ -93,6 +94,9 @@ _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
 _LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x the 2^k - 1 grown columns)
 _SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
+_READ_BYTES = 1 << 18  # a sidecar's lane is read into place in pieces of this size
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 @dataclass(frozen=True)
@@ -134,12 +138,16 @@ def _hash_lanes(width: int) -> np.ndarray:
     return lanes
 
 
+# every range of a length reads the same index; only the last one is kept,
+# as one per length would keep about 1 MB resident
+@functools.lru_cache(maxsize=1)
 def _bit_reversal(f: int) -> np.ndarray:
-    """The f-bit reversal index, [2 rev_(f-1) | 2 rev_(f-1) + 1], in one array."""
+    """The read-only f-bit reversal index, [2 rev_(f-1) | 2 rev_(f-1) + 1], in one array."""
     rev = np.zeros(1 << f, dtype=np.intp)
     for i in range(f):
         np.add(rev[: 1 << i], rev[: 1 << i], out=rev[: 1 << i])
         np.add(rev[: 1 << i], 1, out=rev[1 << i : 2 << i])
+    rev.flags.writeable = False
     return rev
 
 
@@ -218,15 +226,17 @@ def _family(k1: int, k2: Optional[int]) -> tuple:
     return tuple(enumerate_U(USetSpec.pair(k1, k2)))  # validates k1 >= k2 >= 2
 
 
+@functools.cache  # every length and range of a search reads the same lanes
 def _family_lanes(k1: int, k2: Optional[int]) -> np.ndarray:
-    """The family's multipliers on the classical depth-k1 deck: each pattern's
-    on every binary pattern it stands for (X is 0, Y is 1, J is either),
-    summed mod 2^64, so the deck's lane is the family counts' lane."""
+    """The family's read-only multipliers on the classical depth-k1 deck: each
+    pattern's on every binary pattern it stands for (X is 0, Y is 1, J is
+    either), summed mod 2^64, so the deck's lane is the family counts' lane."""
     family = _family(k1, k2)
     letters = {"X": (0,), "Y": (1,), "J": (0, 1)}
     lanes = np.zeros(pattern_count(k1), dtype=np.uint64)
     for w, a in zip(family, _hash_lanes(len(family))):
         lanes[[pattern_index(v) for v in product(*(letters[c] for c in w))]] += a
+    lanes.flags.writeable = False
     return lanes
 
 
@@ -294,19 +304,32 @@ def _sidecar(checkpoint: str, n, params, deck_kind, lo, hi) -> tuple:
     return os.path.join(checkpoint, name + ".npz"), key
 
 
-def _load_sidecar(sidecar: str, key: str, size: int):
-    """The lane a sidecar holds for the range `key` of `size` codes, or None
-    when the file is missing or unreadable, carries no key or another one, or
-    holds a lane of another length."""
+def _load_sidecar(sidecar: str, key: str, out: np.ndarray) -> bool:
+    """Read the lane a sidecar holds for the range `key` straight into `out`.
+
+    False when the file is missing or unreadable, carries no key or another
+    one, or holds a lane of another shape or dtype; `out` may then hold part
+    of the lane, and the caller recomputes it in place. The key is checked
+    first, then the .npy header, and the lane is read in pieces of
+    _READ_BYTES to the end of its member, so the zip's CRC-32 check runs.
+    """
     try:
-        with open(sidecar, "rb") as fh, np.load(fh) as data:
-            stored = str(data["key"])
-            h = data["h"]
+        with zipfile.ZipFile(sidecar) as zf:
+            with zf.open("key.npy") as fh:
+                if str(np.lib.format.read_array(fh)) != key:
+                    return False
+            with zf.open("h.npy") as fh:
+                header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+                if header is None or header(fh) != (out.shape, False, out.dtype):
+                    return False
+                view = memoryview(out).cast("B")
+                for at in range(0, len(view), _READ_BYTES):
+                    piece = view[at : at + _READ_BYTES]
+                    if fh.readinto(piece) != len(piece):
+                        return False
+                return fh.read() == b""
     except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
-        return None
-    if stored != key or h.shape != (size,) or h.dtype != np.uint64:
-        return None
-    return h
+        return False
 
 
 def _save_sidecar(sidecar: str, key: str, h: np.ndarray) -> None:
@@ -373,11 +396,13 @@ def find_collision(
     signatures (count_wildcard for WILDCARD_U), whose overflow guard passes
     for every n <= 67, far past any length whose 2^n lanes fit in memory.
     `checkpoint`, if given, is a directory: each finished code range's lane
-    goes to a .npz sidecar, and a resume reads the sidecars alone. A sidecar
-    that cannot be read, holds a lane of the wrong length, or whose stored
-    range key (format version, deck kind, params, n, lo:hi) is missing or
-    names another range is logged as unusable and its range recomputed. search.log there is an append-only
-    progress record of the ranges computed, which a resume does not read.
+    goes to a .npz sidecar, and a resume reads the sidecars alone, each lane
+    straight into the search's lane array. A sidecar that cannot be read,
+    holds a lane of the wrong shape, or whose stored range key (format
+    version, deck kind, params, n, lo:hi) is missing or names another range
+    is logged as unusable and its range recomputed into the same place.
+    search.log there is an append-only progress record of the ranges
+    computed, which a resume does not read.
     One INFO line reports the strings hashed, the ranges computed and loaded,
     the hash-coincident groups, the hash false positives (groups that split
     under exact confirmation) and the seconds spent hashing, sorting and
@@ -401,9 +426,7 @@ def find_collision(
     for lo, hi in ranges:
         if checkpoint is not None:
             sidecar, key = _sidecar(checkpoint, n, params, deck_kind, lo, hi)
-            lanes = _load_sidecar(sidecar, key, hi - lo)
-            if lanes is not None:
-                h[lo:hi] = lanes
+            if _load_sidecar(sidecar, key, h[lo:hi]):
                 continue
             if os.path.exists(sidecar):
                 log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)

@@ -3,9 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gapdeck import deck
 from gapdeck.constructions import padded_mt
 from gapdeck.deck import (
     DEFAULT_FINGERPRINT_PRIMES,
@@ -13,6 +14,9 @@ from gapdeck.deck import (
     ExactOverflowError,
     GapParams,
     _deck_tables,
+    _moduli,
+    _punctured_counts,
+    _run_pass,
     count_gapped,
     deck_equal,
     enumerate_deck,
@@ -25,6 +29,7 @@ from gapdeck.deck import (
     slice_bound,
     verify_eq7,
 )
+from gapdeck.oracle import count_gapped_naive
 from gapdeck.search import find_collision
 from gapdeck.strings import complement, parse_binary, reverse
 
@@ -224,8 +229,8 @@ def _eq7_pairs(draw):
 @settings(max_examples=80, deadline=None)
 @given(_eq7_pairs(), st.integers(1, 3), st.integers(1, 4), st.sampled_from(["exact", "fingerprint"]))
 def test_two_pass_verify_eq7_matches_punctured_signatures(pair, s, k, mode):
-    # R and LR are read off the passes over x and x[1:]; each flag must be
-    # the comparison of the signatures of the sliced strings
+    # R and LR are read off the ring of the one stacked pass over x[1:];
+    # each flag must be the comparison of the signatures of the sliced strings
     x, y = pair
     params = GapParams(s, k)
     rep = verify_eq7(x, y, params, mode)
@@ -235,6 +240,64 @@ def test_two_pass_verify_eq7_matches_punctured_signatures(pair, s, k, mode):
         for c in cuts
     )
     assert rep.mode == mode and rep.params == params
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=14), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["exact", "fingerprint"]), st.data())
+def test_run_pass_continues_from_a_start_ring(x, s, k, mode, data):
+    # a pass's ring is the state a later pass starts from: splitting x at any
+    # j and continuing from the first part's ring gives the same s+1 states
+    tables, width, mods = _deck_tables(k), pattern_count(k) + 1, _moduli(mode)
+    whole = [state.tolist() for state in _run_pass(x, s, tables, width, mods)]
+    j = data.draw(st.integers(0, len(x)))
+    ring = _run_pass(x[:j], s, tables, width, mods)
+    assert [state.tolist() for state in _run_pass(x[j:], s, tables, width, mods, ring)] == whole
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=14).map(tuple), st.integers(1, 4),
+       st.integers(1, 5), st.sampled_from(["exact", "fingerprint"]))
+@example((0, 1), 1, 1, "exact")
+@example((1, 1), 2, 1, "fingerprint")
+@example((1, 0), 4, 5, "exact")
+def test_stacked_pass_gives_the_four_punctured_decks(x, s, k, mode):
+    # the one pass over x[1:] on two blocks, started from x[0] and from the
+    # root, ends on the decks of x and x[1:]; the states before its last
+    # letter are those of x[:-1] and x[1:-1]
+    params = GapParams(s, k)
+    cuts = (slice(None), slice(1, None), slice(None, -1), slice(1, -1))  # plain, L, R, LR
+    want = [np.array(signature(x[c], params, mode).counts, dtype=np.uint64)
+            .reshape(pattern_count(k), -1).T for c in cuts]
+    got = _punctured_counts(x, s, k, mode)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+def test_single_exact_pass_returns_row_states():
+    # one exact row from the root runs on a 1-D state, but its ring holds
+    # (1, width) states like every other pass, on the deck's slice tables and
+    # on count_gapped's index-array chain tables alike
+    x = (0, 1, 1, 0, 1, 0, 0, 1, 1)
+    for s in (1, 2, 3):
+        ring = _run_pass(x, s, _deck_tables(3), pattern_count(3) + 1)
+        assert len(ring) == s + 1 and {state.shape for state in ring} == {(1, 15)}
+        w = (1, 0, 1)
+        dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
+        chain = _run_pass(x, s, [(d, d - 1) for d in dst], len(w) + 1)
+        assert {state.shape for state in chain} == {(1, 4)}
+        assert chain[-1][0].tolist() == [1] + [count_gapped_naive(w[:j], x, s) for j in (1, 2, 3)]
+
+
+def test_stacked_pass_memory_guard_counts_every_row(monkeypatch):
+    # verify_eq7's pass stacks two blocks of three fingerprint rows: its
+    # guard counts all six, and the message is the single pass's
+    x = padded_mt(2).x
+    width = pattern_count(10) + 1
+    need = 8 * 6 * width * (min(len(x) - 1, 2) + 3)
+    monkeypatch.setattr(deck, "_PHYSICAL_BYTES", need - 1)
+    signature(x, GapParams(2, 10), "fingerprint")  # three rows fit
+    with pytest.raises(MemoryError, match=f"^a counting pass needs {need} bytes of state, "):
+        verify_eq7(x, x, GapParams(2, 10), "fingerprint")
 
 
 def test_verify_eq7_errors():

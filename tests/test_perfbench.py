@@ -50,13 +50,19 @@ def test_workloads_match_their_references(name, tmp_path):
 def test_bench_records_read_every_workload_and_metric():
     # tools/bench.py summarises run.py's output into BENCH_<tag>.json: its
     # workloads and metric directions are BENCHMARK.json's, run.py takes each
-    # of them, and a pair counts for the change only when it reads better in
-    # that direction
+    # of them, a pair counts for the change only when it reads better in
+    # that direction, and the layer split it records from a --trace 1 run
+    # holds BENCHMARK.json's per-layer metrics, each of which the run reports
     bench = _load("bench", PERFBENCH.parent / "tools")
     run = _load("run")
     benchmark = bench._benchmark()
     assert {w["name"] for w in benchmark["workloads"]} <= set(run.WORKLOADS)
     assert list(bench._directions(benchmark)) == [name for name, _ in run.END_TO_END]
+    traced = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+        name: {"value": 1.0, "unit": unit} for name, unit, _, _ in _load("tracing").PER_LAYER}}
+    layers = bench._per_layer(traced, benchmark)
+    assert layers["correct"] is True
+    assert list(layers["metrics"]) == [m["name"] for m in benchmark["per_layer"]]
     directions = {"wall_s": "lower", "strings_per_s": "higher"}
     base = {"metrics": {m: bench._summary([1.0, 2.0, 3.0, 4.0]) for m in directions}}
     mine = {"metrics": {m: bench._summary([0.5, 2.5, 1.0, 1.0]) for m in directions}}

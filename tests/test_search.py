@@ -305,6 +305,40 @@ def test_checkpoint_rejects_damaged_sidecar(tmp_path, caplog, damage):
     assert _loaded_and_computed(caplog) == [(0, 1)]
 
 
+def test_sidecar_failing_after_a_partial_read_is_recomputed_in_place(tmp_path, caplog,
+                                                                     monkeypatch):
+    # a resume reads each lane straight into the search's lane array, in
+    # pieces; a flipped byte in the first piece is written there before the
+    # zip's CRC-32, checked at the member's end, rejects the sidecar, so the
+    # range must be recomputed over it or the witness's lane stays wrong
+    ckpt = str(tmp_path)
+    expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
+    (sidecar,) = tmp_path.glob("*.npz")
+    with np.load(sidecar) as arrays:
+        lane = arrays["h"].tobytes()
+    data = sidecar.read_bytes()
+    at = data.index(lane) + 8 * 0b00001101  # a byte of the first witness's lane
+    sidecar.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :])
+    monkeypatch.setattr(search, "_READ_BYTES", 256)  # eight pieces of 32 lanes
+    loaded = {}
+    load = search._load_sidecar
+
+    def recorded(path, key, out):
+        ok = load(path, key, out)
+        loaded["first piece"] = out[:32].tobytes()
+        return ok
+
+    monkeypatch.setattr(search, "_load_sidecar", recorded)
+    caplog.set_level("INFO", logger="gapdeck.search")
+    assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
+    assert loaded["first piece"] != lane[:256]  # the damaged piece was read into place
+    assert "unusable" in caplog.text
+    assert _loaded_and_computed(caplog) == [(1, 0)]
+    with np.load(sidecar) as arrays:
+        assert arrays["h"].tobytes() == lane
+
+
 def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
     # a sidecar of another search, copied over this range's, must be
     # recomputed, not trusted: its lanes would hide the collision

@@ -8,14 +8,19 @@ r of the RUNS (10) runs uses seed --seed + r and measures every workload that
 BENCHMARK.json lists once in every tree, one fresh `perfbench/run.py
 --trace 0` process each, for BENCHMARK.json's run_seconds; the order of the
 trees alternates from run to run, so two trees are compared in adjacent
-pairs made under the same machine conditions.
+pairs made under the same machine conditions. Then one `--trace 1` run per
+tree and workload, with seed --seed, records the layer split: BENCHMARK.json's
+per-layer metrics, which tracing adds to the run's cost and so are kept apart
+from the timed runs.
 
 BENCH_<TAG>.json, written at the root of this repository, holds, per
 workload and end-to-end metric, the median, quartiles and IQR over the runs
 and every sample, the op counts, the machine facts that run.py prints for
-the first run, and every run's load average. The code measured is named by
-the tag and the machine facts' src_sha256; run.py's `commit` is left out, as
-it names whatever commit the checkout's .git points at, not the tree's code.
+the first run, and every run's load average; under per_layer, per
+workload, the traced run's verdict and its per-layer metrics. The code
+measured is named by the tag and the machine facts' src_sha256; run.py's
+`commit` is left out, as it names whatever commit the checkout's .git points
+at, not the tree's code.
 With two or more trees, each tree after the first also holds a `versus`
 section against the first: per metric, the ratio of the medians, the
 baseline's IQR, and the pairs (same run) in which this tree is better, read
@@ -43,13 +48,19 @@ def _directions(benchmark):
     return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
 
-def _run(tree, workload, seed, seconds):
+def _run(tree, workload, seed, seconds, trace=0):
     """run.py's two stdout lines: the machine line and the result line."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True, check=True).stdout
     machine, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return machine, result
+
+
+def _per_layer(result, benchmark):
+    """A --trace 1 run's verdict and BENCHMARK.json's per-layer metrics from it."""
+    return {"correct": result["correct"],
+            "metrics": {m["name"]: result["metrics"][m["name"]] for m in benchmark["per_layer"]}}
 
 
 def _summary(values):
@@ -93,6 +104,11 @@ def main(argv=None):
                 runs[tag][w].append((machine, result))
                 print(f"run {r + 1}/{RUNS} seed {seed} {w} {tag}: "
                       f"wall_s {result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+    layers = {tag: {} for tag, _ in trees}
+    for w in workloads:
+        for tag, tree in trees:
+            layers[tag][w] = _per_layer(_run(tree, w, args.seed, seconds, trace=1)[1], benchmark)
+            print(f"traced run seed {args.seed} {w} {tag}", file=sys.stderr)
 
     records = {}
     for tag, _ in trees:
@@ -105,6 +121,9 @@ def main(argv=None):
             "trees_alternated": [t for t, _ in trees],
             "machine": machine,
             "workloads": {},
+            "per_layer_command": f"perfbench/run.py --trace 1 --seconds {seconds:g} "
+                                 f"--seed {args.seed}",
+            "per_layer": layers[tag],
         }
         for w in workloads:
             done = runs[tag][w]
