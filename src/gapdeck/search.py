@@ -95,8 +95,6 @@ _LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
 _LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x the 2^k - 1 grown columns)
 _SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
 _READ_BYTES = 1 << 18  # a sidecar's lane is read into place in pieces of this size
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 @dataclass(frozen=True)
@@ -319,8 +317,8 @@ def _load_sidecar(sidecar: str, key: str, out: np.ndarray) -> bool:
                 if str(np.lib.format.read_array(fh)) != key:
                     return False
             with zf.open("h.npy") as fh:
-                header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
-                if header is None or header(fh) != (out.shape, False, out.dtype):
+                if (np.lib.format.read_magic(fh) != (1, 0)  # np.savez writes a lane as 1.0
+                        or np.lib.format.read_array_header_1_0(fh) != (out.shape, False, out.dtype)):
                     return False
                 view = memoryview(out).cast("B")
                 for at in range(0, len(view), _READ_BYTES):

@@ -235,6 +235,11 @@ def test_lane_only_buckets(monkeypatch):
     cases += [(m, params, WILDCARD_U) for params, m in (((4, 3), 8), ((3, 2), 7))]
     want = [find_collision(*case, workers=1) for case in cases]
     monkeypatch.setattr(search, "_hash_lanes", lambda width: np.ones(width, dtype=np.uint64))
+    # the family lanes are cached: a fresh cache, dropped at teardown, makes
+    # WILDCARD_U read the patch without leaking all-ones lanes to later tests
+    monkeypatch.setattr(search, "_family_lanes", functools.cache(search._family_lanes.__wrapped__))
+    for k1, k2 in ((4, 3), (3, 2)):  # all-ones: each count of family patterns per pattern
+        assert search._family_lanes(k1, k2).max() <= len(search._family(k1, k2))
     assert [find_collision(*case, workers=1) for case in cases] == want
 
 
