@@ -27,10 +27,13 @@ It is letter-major (a row's newest letter is its top index bit) and held as
 update], row r's ancestor at level max(0, i+1-s) is row r mod that level's
 size, and every update runs along the rows. The lane is linear in the counts,
 so one rule carries it down every level, h(y.b) = h(y) + ready[src_b] @
-L[dst_b] (ready: that ancestor's columns), through level max(n-s, 0), the
-last read as gap-ready. A code range is an aligned block, cut into chunks of
-at most 2^16 strings and 2^21 grown cells. deck._run_pass walks a chunk's top
-bits (at most max(n-s, 0): a smaller block is sliced out of its chunk); its
+L[dst_b] (ready: that ancestor's columns). Level m = max(n-s, 0), the last
+read as gap-ready, is read by the last lane step alone, so it is never grown:
+at level m-1 the tree takes that step's dot product in lane space,
+[level m-1 @ L + update_0 @ L | level m-1 @ L + update_1 @ L], one 2-row
+_extend. A code range is an aligned block, cut into chunks of at most 2^16
+strings and 2^21 cells (strings x the 2^k - 1 columns). deck._run_pass walks a
+chunk's top bits (at most m: a smaller block is sliced out of its chunk); its
 states are the gap window the tree grows from, and one bit-reversal gather
 puts the chunk's lanes in code order (in place, in a one-process search).
 EQ7_STAR sums two trees, the plain one and one over the code mod 2^(n-1)
@@ -95,6 +98,9 @@ _LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
 _LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x the 2^k - 1 grown columns)
 _SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
 _READ_BYTES = 1 << 18  # a sidecar's lane is read into place in pieces of this size
+# _extend's tables for level m's lane step: its two lanes take the letter-0
+# update's two from rows 0:2 of the stacked updates, the letter-1 update's from 2:4
+_LANE_HALVES = [(slice(None), slice(0, 2)), (slice(None), slice(2, 4))]
 
 
 @dataclass(frozen=True)
@@ -136,17 +142,22 @@ def _hash_lanes(width: int) -> np.ndarray:
     return lanes
 
 
-# every range of a length reads the same index; only the last one is kept,
-# as one per length would keep about 1 MB resident
-@functools.lru_cache(maxsize=1)
-def _bit_reversal(f: int) -> np.ndarray:
-    """The read-only f-bit reversal index, [2 rev_(f-1) | 2 rev_(f-1) + 1], in one array."""
-    rev = np.zeros(1 << f, dtype=np.intp)
-    for i in range(f):
+@functools.lru_cache(maxsize=1)  # one table serves every f up to its own bit count
+def _reversal_table(bits: int) -> np.ndarray:
+    """The read-only bits-bit reversal index, [2 rev_(bits-1) | 2 rev_(bits-1) + 1]."""
+    rev = np.zeros(1 << bits, dtype=np.intp)
+    for i in range(bits):
         np.add(rev[: 1 << i], rev[: 1 << i], out=rev[: 1 << i])
         np.add(rev[: 1 << i], 1, out=rev[1 << i : 2 << i])
     rev.flags.writeable = False
     return rev
+
+
+def _bit_reversal(f: int) -> np.ndarray:
+    """The read-only f-bit reversal index: rev_f(c) = rev_t(c << (t - f)) for f <= t,
+    so it is every 2^(t-f)-th entry of the t-bit table, t = max(f, _LEAF_BITS)."""
+    top = max(f, _LEAF_BITS)
+    return _reversal_table(top)[:: 1 << (top - f)]
 
 
 def _extend(prev: np.ndarray, ready: np.ndarray, tables) -> np.ndarray:
@@ -170,17 +181,22 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None, out=None) -> np
     of the depth-k deck at gap s, written into `out` if given.
 
     [lo, hi) must be an aligned power-of-two block. Each of its aligned chunks
-    of at most 2^_LEAF_BITS codes and _LEAF_CELLS grown cells fixes its top
-    bits, at most through level m = max(n-s, 0), so a block smaller than 2^s
-    codes is hashed as its enclosing chunk and sliced. Below them _extend
-    grows the narrow tree through m, letter-major and transposed, and every
-    level is one rule along the rows, h(y.b) = h(y) + ready @ moved[b]: ready
-    is the narrow columns of the gap-ready ancestor at level max(0, i+1-s),
-    and moved[b] the lanes of the columns letter b adds it to.
+    of at most 2^_LEAF_BITS codes and _LEAF_CELLS cells (codes x narrow
+    columns) fixes its top bits, at most through level m = max(n-s, 0), so a
+    block smaller than 2^s codes is hashed as its enclosing chunk and sliced.
+    Below them _extend grows the narrow tree through level m-1, letter-major
+    and transposed, and every level is one rule along the rows, h(y.b) =
+    h(y) + ready @ moved[b]: ready is the narrow columns of the gap-ready
+    ancestor at level max(0, i+1-s), and moved[b] the lanes of the columns
+    letter b adds it to.
     The lane is linear in the counts, so h(y.b) = counts(y) @ (leaf_lanes +
     parent_lanes) + ready @ moved[b] of leaf_lanes: the summed lanes through
-    level n-1, then a last step of the leaf lanes. One bit-reversal gather
-    per chunk puts the lanes in code order."""
+    level n-1, then a last step of the leaf lanes. That step alone reads
+    level m, and only through its dot product with the leaf lanes, so when
+    m lies below the top bits the chunk takes it in lane space at level
+    m-1: _extend of (level m-1 @ last) by the updates' (ready[src] @
+    last[dst]), two rows instead of the narrow columns. One bit-reversal
+    gather per chunk puts the lanes in code order."""
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
@@ -194,22 +210,30 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None, out=None) -> np
     lanes = leaf_lanes if parent_lanes is None else leaf_lanes + parent_lanes
     # moved, of lanes and of leaf: heap column j's children are patterns 2j and 2j+1
     step, last = lanes.reshape(narrow, 2), leaf_lanes.reshape(narrow, 2)
+    grow = _deck_tables(k - 1)
     h = np.empty(size, dtype=np.uint64) if out is None else out
     rev = _bit_reversal(n - depth)[lo - base : lo - base + size]  # code order
-    levels = [None] * (s + 1 + max(m - depth, 0))  # a chunk's levels depth-s .. m
+    levels = [None] * (s + max(m - depth, 1))  # a chunk's levels depth-s .. max(m-1, depth)
     for start in range(base, hi, span):
         top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
         ring = _run_pass(top, s, tables, width)  # levels depth-s .. depth
         part = ring[-1][:, 1:] @ lanes  # column 0, the pinned root, carries no lane
         levels[: s + 1] = (state[0, :narrow, None] for state in ring)
         for i in range(depth, n):
-            ready = levels[i + 1 - depth]  # level max(0, i+1-s)
-            add = np.einsum("jr,jb->br", ready, last if i == n - 1 else step)
-            part = (part.reshape(-1, ready.shape[1]) + add[:, None]).reshape(-1)
-            if i < m:  # free the last chunk's level i+1 first: the allocator reuses
-                j = i + 1 - depth + s  # its block, where freeing a whole chunk at once
-                levels[j] = None  # can get the heap trimmed and its pages faulted again
-                levels[j] = _extend(levels[j - 1], ready, _deck_tables(k - 1))
+            if i < n - 1 or m <= depth:
+                ready = levels[i + 1 - depth]  # level max(0, i+1-s)
+                add = np.einsum("jr,jb->br", ready, last if i == n - 1 else step)
+            else:  # level m's lane step, taken in lane space at level m-1
+                add = final
+            part = (part.reshape(-1, add.shape[1]) + add[:, None]).reshape(-1)
+            j = i + 1 - depth + s  # level i+1
+            if i < m - 1:  # free the last chunk's level i+1 first: the allocator reuses
+                levels[j] = None  # its block, where freeing a whole chunk at once
+                levels[j] = _extend(levels[j - 1], ready, grow)  # can trim the heap
+            elif i == m - 1:  # level m @ last = [prev @ last + update_0 @ last | ... _1]
+                u = [np.einsum("jr,jb->br", ready[src], last[dst]) for dst, src in grow]
+                final = _extend(np.einsum("jr,jb->br", levels[j - 1], last), np.concatenate(u),
+                                _LANE_HALVES)
         np.take(part, rev, out=h[start - base : start - base + len(rev)], mode="clip")
     return h
 
@@ -332,10 +356,18 @@ def _load_sidecar(sidecar: str, key: str, out: np.ndarray) -> bool:
 
 def _save_sidecar(sidecar: str, key: str, h: np.ndarray) -> None:
     """Write the lane and its range key to a temporary file, then rename it
-    over the sidecar, so a reader never sees a half-written one."""
+    over the sidecar, so a reader never sees a half-written one.
+
+    The file holds the members np.savez(key=..., h=...) would write, and
+    np.load reads it, but the lane goes from `h` to its member behind a .npy
+    1.0 header, with no copy of it made."""
     tmp = sidecar + ".tmp"
-    with open(tmp, "wb") as fh:  # a handle: np.savez appends .npz to a bare name
-        np.savez(fh, key=np.array(key), h=h)
+    with zipfile.ZipFile(tmp, "w") as zf:
+        with zf.open("key.npy", "w") as fh:
+            np.lib.format.write_array(fh, np.array(key))
+        with zf.open("h.npy", "w") as fh:
+            np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(h))
+            fh.write(memoryview(h).cast("B"))
     os.replace(tmp, sidecar)
 
 

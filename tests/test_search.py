@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from gapdeck.search import (
     FULL_B,
     WILDCARD_U,
     CollisionReport,
+    _extend,
     _hash_groups,
     _hash_lanes,
     _lane_hashes,
@@ -626,50 +628,68 @@ def test_wide_decks_keep_each_level_within_the_cell_budget(monkeypatch):
 def test_tree_grows_only_the_prefix_columns(monkeypatch):
     # the length-k columns are never read back as a gap-ready parent, so the
     # tree grows the 2^k - 1 prefix columns (the depth-(k-1) deck) alone and
-    # carries the lane down it; the lanes stay those of the full deck
-    widths, extend = [], search._extend
+    # carries the lane down it; level m = n - s, read only by the last lane
+    # step, is never grown: that step is one 2-row _extend in lane space.
+    # 2^14 codes are one chunk with no top bits, so each tree over n' letters
+    # grows levels 1 .. m-1 and then takes level m's step; the lanes stay
+    # those of the full deck
+    shapes, extend = [], search._extend
 
     def recorded(prev, ready, tables):
         nxt = extend(prev, ready, tables)
-        widths.append(nxt.shape[0])
+        shapes.append(nxt.shape)
         return nxt
+
+    def one_chunk(n, s, narrow):
+        m = n - s
+        return [(narrow, 1 << e) for e in range(1, m)] + [(2, 1 << m)]
 
     monkeypatch.setattr(search, "_extend", recorded)
     n = 14
     for deck_kind in DECK_KINDS:
         for s in (1, 2, 3, 4):
-            widths.clear()
+            shapes.clear()
             h = _lane_hashes(n, s, 3, deck_kind, 0, 1 << n)
-            assert widths and set(widths) == {(1 << 3) - 1}, (deck_kind, s)
+            trees = (n, n - 1) if deck_kind == EQ7_STAR else (n,)  # EQ7_STAR's L tree
+            want = [shape for t in trees for shape in one_chunk(t, s, (1 << 3) - 1)]
+            assert shapes == want, (deck_kind, s)
             for code in random.Random(s).sample(range(1 << n), 20):
                 assert int(h[code]) == _reference_lanes(code, n, s, 3, deck_kind)
     for k1, k2 in ((4, 3), (5, None)):
-        widths.clear()
+        shapes.clear()
         h = _lane_hashes(n, k1, k2, WILDCARD_U, 0, 1 << n)
-        assert widths and set(widths) == {(1 << k1) - 1}, (k1, k2)
+        assert shapes == one_chunk(n, 1, (1 << k1) - 1), (k1, k2)
         family = _su_family(k1, k2)
         for code in random.Random(k1).sample(range(1 << n), 20):
             assert int(h[code]) == _reference_u_lanes(code, n, family)
 
 
-def _check_levels(levels, n, s, k, lo, hi, per_level=None):
-    """Every grown level of the block [lo, hi), as _extend returned it, holds
-    deck._run_pass's narrow state over each prefix that it stands for.
+def _check_levels(outputs, n, s, k, lo, hi, lanes, per_level=None):
+    """Every _extend output of the block [lo, hi), in order: each chunk's
+    grown levels, then level m's lane step.
 
-    Each chunk grows levels depth+1 .. m from 2 rows up. Below the chunk's
-    top bits, row r of a level (its column level[:, r], as the levels are
-    transposed) stands for the letters r & 1, (r >> 1) & 1, ..., the newest
-    letter its most significant bit. per_level, if given, samples that many
-    rows of each level. Returns the number of chunks."""
+    Each chunk grows levels depth+1 .. m-1 from 2 rows up, and each holds
+    deck._run_pass's narrow state over every prefix it stands for: below the
+    chunk's top bits, row r of a level (its column level[:, r], as the levels
+    are transposed) stands for the letters r & 1, (r >> 1) & 1, ..., the
+    newest letter its most significant bit. Level m = max(n-s, 0) is never
+    grown: a chunk with m > depth ends on one 2-row output, level m's lanes
+    (lanes, as (2^k - 1, 2)) from level m-1 and its gap-ready ancestor, level
+    m-s. per_level, if given, samples that many rows of each level. Returns
+    the number of chunks that took that step."""
     m, narrow = max(n - s, 0), (1 << k) - 1
-    chunks = []
-    for level in levels:
-        if level.shape[1] == 2:
-            chunks.append([])
-        chunks[-1].append(level)
+    last = lanes.reshape(narrow, 2)
+    chunks, grown = [], []
+    for out in outputs:
+        if len(out) == 2:  # level m's lane step ends its chunk (2^k - 1 is odd)
+            chunks.append((grown, out))
+            grown = []
+        else:
+            grown.append(out)
+    assert not grown, "levels grown without level m's lane step"
     rnd = random.Random(n * 100 + s * 10 + k)
-    for j, chunk in enumerate(chunks):
-        depth = m - len(chunk)
+    for j, (chunk, step) in enumerate(chunks):
+        depth = m - 1 - len(chunk)
         span = 1 << (n - depth)
         start = lo - lo % span + j * span
         top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
@@ -680,6 +700,15 @@ def _check_levels(levels, n, s, k, lo, hi, per_level=None):
                 prefix = top + [(r >> t) & 1 for t in range(ell)]
                 ring = _run_pass(prefix, s, _deck_tables(k), pattern_count(k) + 1)
                 assert level[:, r].tolist() == ring[-1][0, :narrow].tolist(), (n, s, k, start, ell, r)
+
+        def level(i):  # the chunk's level i: grown, or the state of its top bits' prefix
+            if i > depth:
+                return chunk[i - depth - 1]
+            ring = _run_pass(top[: max(i, 0)], s, _deck_tables(k), pattern_count(k) + 1)
+            return ring[-1][0, :narrow, None]
+
+        grown_m = _extend(level(m - 1), level(m - s), _deck_tables(k - 1))
+        assert step.tolist() == np.einsum("jr,jb->br", grown_m, last).tolist(), (n, s, k, start)
     return len(chunks)
 
 
@@ -687,29 +716,78 @@ def _check_levels(levels, n, s, k, lo, hi, per_level=None):
 def test_tree_levels_hold_the_narrow_state_of_their_prefixes(monkeypatch, s):
     # each level is letter-major and transposed: (2^k - 1 columns, rows),
     # [previous level + letter-0 update | previous level + letter-1 update]
-    levels, extend = [], search._extend
+    outputs, extend = [], search._extend
 
     def recorded(prev, ready, tables):
-        levels.append(extend(prev, ready, tables))
-        return levels[-1]
+        outputs.append(extend(prev, ready, tables))
+        return outputs[-1]
 
     monkeypatch.setattr(search, "_extend", recorded)
     for k in (1, 2, 3, 4):
         lanes = _hash_lanes(pattern_count(k))
-        for n, lo, hi in ((9, 0, 1 << 9), (9, 3 << 6, 4 << 6)):  # all codes, a block below 3 top bits
-            levels.clear()
+        # all codes, a block below 3 top bits, and a block of 4 codes: its
+        # chunk fixes n - s top bits, so only at s = 1 does it take level m's step
+        for n, lo, hi in ((9, 0, 1 << 9), (9, 3 << 6, 4 << 6), (9, 5 << 2, 6 << 2)):
+            outputs.clear()
             _tree_hashes(n, s, k, lo, hi, lanes)
-            _check_levels(levels, n, s, k, lo, hi)
+            assert _check_levels(outputs, n, s, k, lo, hi, lanes) == (hi - lo > 1 << s)
     # the depth-9 deck: chunks of 2^12 codes, so two of them cover 2^13
-    levels.clear()
-    _tree_hashes(13, s, 9, 0, 1 << 13, _hash_lanes(pattern_count(9)))
-    assert _check_levels(levels, 13, s, 9, 0, 1 << 13, per_level=6) == 2
+    outputs.clear()
+    lanes = _hash_lanes(pattern_count(9))
+    _tree_hashes(13, s, 9, 0, 1 << 13, lanes)
+    assert _check_levels(outputs, 13, s, 9, 0, 1 << 13, lanes, per_level=6) == 2
+
+
+@pytest.mark.parametrize("deck_kind", DECK_KINDS)
+def test_lane_hashes_where_level_m_takes_no_lane_space_step(deck_kind):
+    # a chunk takes level m's step in lane space only when m = n - s lies
+    # below its top bits; around that edge: blocks of 2^(s-1), 2^s and
+    # 2^(s+1) codes (a chunk fixes at most m top bits, so the smaller ones
+    # are sliced out of it and reach m at their top bits), s >= n (m = 0),
+    # and EQ7_STAR's L tree over n - 1 letters, whose m is one less
+    rnd = random.Random(7)
+    for s in (1, 2, 3, 4):
+        for n in range(2 if deck_kind == EQ7_STAR else 1, s + 3):
+            for size in sorted({1 << max(s - 1, 0), 1 << s, 1 << (s + 1)}):
+                if size > 1 << n:
+                    continue
+                lo = rnd.randrange(0, 1 << n, size)
+                h = _lane_hashes(n, s, 3, deck_kind, lo, lo + size)
+                want = [_reference_lanes(c, n, s, 3, deck_kind) for c in range(lo, lo + size)]
+                assert h.tolist() == want, (s, n, lo, size)
 
 
 def test_bit_reversal_index():
-    for f in range(17):
+    # every f-bit index is a read-only strided view of one table of
+    # max(f, _LEAF_BITS) bits
+    for f in range(19):
         want = [int(format(c, f"0{f}b")[::-1], 2) for c in range(1 << f)]
-        assert search._bit_reversal(f).tolist() == want
+        rev = search._bit_reversal(f)
+        assert rev.tolist() == want
+        assert not rev.flags.writeable
+        if f <= search._LEAF_BITS:
+            assert np.shares_memory(rev, search._bit_reversal(search._LEAF_BITS))
+
+
+def test_sidecar_is_an_npz_whose_lane_has_a_1_0_header(tmp_path):
+    h = _lane_hashes(12, 2, 3, FULL_B, 0, 1 << 12)
+    sidecar, key = search._sidecar(str(tmp_path), 12, GapParams(2, 3), FULL_B, 0, 1 << 12)
+    search._save_sidecar(sidecar, key, h)
+    out = np.zeros_like(h)
+    assert search._load_sidecar(sidecar, key, out)
+    assert out.tolist() == h.tolist()
+    with np.load(sidecar) as data:
+        assert sorted(data.files) == ["h", "key"]
+        assert str(data["key"]) == key
+        assert data["h"].dtype == h.dtype and data["h"].tolist() == h.tolist()
+    with zipfile.ZipFile(sidecar) as zf, zf.open("h.npy") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+    # a sidecar that np.savez wrote, as earlier builds did, still loads
+    with open(sidecar, "wb") as fh:
+        np.savez(fh, key=np.array(key), h=h)
+    out[:] = 0
+    assert search._load_sidecar(sidecar, key, out)
+    assert out.tolist() == h.tolist()
 
 
 def _loaded_and_computed(caplog):
