@@ -34,13 +34,11 @@ from gapdeck.deck import (
     DEFAULT_FINGERPRINT_PRIMES,
     DeckSignature,
     Eq7Report,
-    ExactOverflowError,
     GapParams,
     count_gapped,
     deck_equal,
     enumerate_deck,
     exact_deck_equal,
-    fingerprint,
     signature,
     verify_eq7,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "DEFAULT_FINGERPRINT_PRIMES",
     "DeckSignature",
     "Eq7Report",
-    "ExactOverflowError",
     "GapParams",
     "Lemma3Instance",
     "Lemma3Report",
@@ -100,7 +97,6 @@ __all__ = [
     "exact_deck_equal",
     "exact_deck_family",
     "find_collision",
-    "fingerprint",
     "format_binary",
     "kappa",
     "lemma3_check",

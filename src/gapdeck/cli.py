@@ -115,11 +115,11 @@ def cmd_deck(args) -> int:
 def cmd_equal(args) -> int:
     params = GapParams(args.s, args.k)
     x, y = _resolve_binary(args.strings, 2)
-    eq = deck_equal(x, y, params, args.mode)
+    eq = deck_equal(x, y, params)
     _emit(
         args,
         "equal",
-        {"s": args.s, "k": args.k, "mode": args.mode},
+        {"s": args.s, "k": args.k, "mode": "exact"},  # every verdict is exact
         {"equal": eq},
         ["true" if eq else "false"],
     )
@@ -129,11 +129,11 @@ def cmd_equal(args) -> int:
 def cmd_eq7(args) -> int:
     params = GapParams(args.s, args.k)
     x, y = _resolve_binary(args.strings, 2)
-    rep = verify_eq7(x, y, params, args.mode)
+    rep = verify_eq7(x, y, params)
     _emit(
         args,
         "eq7",
-        {"s": args.s, "k": args.k, "mode": args.mode},
+        {"s": args.s, "k": args.k, "mode": "exact"},
         rep.to_record(),
         [
             f"plain={str(rep.plain_equal).lower()} lr={str(rep.lr_equal).lower()} "
@@ -196,7 +196,7 @@ def cmd_search(args) -> int:
         fn = {"G": search_G, "Gstar": search_G_star, "exactD": search_exact_D}[args.which]
         scan = GapParams(args.s, args.k), args.n_max
         params = {"which": args.which, "s": args.s, "k": args.k, "n_max": args.n_max,
-                  "mode": "exact"}  # searches always confirm exactly
+                  "mode": "exact"}  # every verdict is exact
     report = fn(*scan, workers=args.workers, checkpoint=args.checkpoint)
     _emit(args, "search", params, report.to_record(), _report_lines(report))
     return 0 if report.n is not None else 1
@@ -357,10 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("equal", cmd_equal, "test gapped-deck equality of two strings"),
         ("eq7", cmd_eq7, "four-way deck equality: plain and all one-bit punctures"),
     ):
-        p = sub.add_parser(name, parents=[common, deck_opts, strings], help=help_)
-        if name != "deck":
-            p.add_argument("--mode", choices=["exact", "fingerprint"], default="exact")
-        p.set_defaults(func=func)
+        sub.add_parser(name, parents=[common, deck_opts, strings], help=help_).set_defaults(func=func)
 
     def operations(name, dest, func, help_):
         """A command of named operations, each with a parser of its own options."""

@@ -4,10 +4,7 @@ The s-gapped deck of depth k of a binary string x is the multiset of all
 nonempty subsequences of length <= k whose chosen indices are pairwise at
 least s apart. A DeckSignature is its faithful stand-in: the vector of
 occurrence counts of every nonempty binary pattern of length <= k, ordered by
-length then lexicographically. Signatures come in EXACT mode (integer counts,
-refused a priori when counts could exceed 64 bits) and FINGERPRINT mode
-(counts reduced modulo DEFAULT_FINGERPRINT_PRIMES, three fixed 62-bit primes;
-there are no other moduli).
+length then lexicographically. Every count, and so every verdict, is exact.
 
 Counting is one recurrence over the columns of a pattern trie: column 0 is
 the empty prefix, pinned at 1, and the nonempty prefixes of the patterns
@@ -18,9 +15,9 @@ at pattern_index(w) + 1, the children of column j are 2j+1 and 2j+2), so the
 update tables of _deck_tables are two strided slices and every update reads
 and writes views. The one other trie is count_gapped's single pattern w, a
 chain whose column j is w[:j]. _run_pass runs the recurrence over one
-string in a (rows, width) uint64 state: one row of exact counts, or, in
-FINGERPRINT mode, one row per prime, reduced by a conditional subtract
-against the moduli tiled to the update's shape once per pass. It may start
+string in a (rows, width) uint64 state: one row of exact counts, or one row
+per prime, reduced by a conditional subtract against the moduli tiled to the
+update's shape once per pass. It may start
 from a given ring of states that stacks several row blocks, all reading the
 same letters. A pass whose live states would not fit in physical memory is
 refused with MemoryError before it allocates. It returns its ring of the
@@ -31,28 +28,33 @@ punctured decks). The prefix-tree kernel of gapdeck.search (its
 wildcard-family search included) walks each chunk's fixed top bits with
 _run_pass and grows the tree from its ring, the gap window, on the columns
 and tables of the depth-(k-1) deck.
-Exact counting has one overflow guard, _check_exact: the gap-aware
-bound C(n-(l-1)(s-1), l) on any count of length l <= k must stay below 2^64.
+One guard, _moduli, picks the moduli from the gap-aware bound B, the largest
+C(n-(l-1)(s-1), l) over l <= k, which no count reaches past: one unreduced
+uint64 row while B < 2^64, else the fewest pinned primes whose product M
+exceeds B. Every count lies in [0, B], so equal residues are equal counts and
+the Chinese remainder of a count's residues is the count itself.
 """
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import product
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-# The three largest primes below 2^62; two residues always sum below 2^63,
-# so modular accumulation cannot wrap in uint64.
+# The five largest primes below 2^62, whose product exceeds 2^309; two
+# residues always sum below 2^63, so modular accumulation cannot wrap in
+# uint64. (perfbench/tracing.py imports this name.)
 DEFAULT_FINGERPRINT_PRIMES = (
     4611686018427387847,
     4611686018427387817,
     4611686018427387787,
+    4611686018427387761,
+    4611686018427387751,
 )
-_MODULI = np.asarray(DEFAULT_FINGERPRINT_PRIMES, dtype=np.uint64)[:, None]
 
 _UINT64_LIMIT = 1 << 64
 _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -63,10 +65,6 @@ class GapParams(NamedTuple):
 
     s: int
     k: int
-
-
-class ExactOverflowError(OverflowError):
-    """EXACT mode refused: counts could exceed 64 bits; use FINGERPRINT mode."""
 
 
 def _check_params(params: GapParams) -> GapParams:
@@ -99,7 +97,7 @@ def patterns_upto(k: int) -> list:
 def slice_bound(n: int, s: int, ell: int) -> int:
     """C(n - (ell-1)(s-1), ell): total gapped index tuples of length ell."""
     top = n - (ell - 1) * (s - 1)
-    return comb(top, ell) if top >= ell else 0
+    return math.comb(top, ell) if top >= ell else 0
 
 
 def _deck_tables(k: int) -> list:
@@ -113,27 +111,40 @@ def _deck_tables(k: int) -> list:
     return [(slice(1 + c, width, 2), slice(0, (1 << k) - 1)) for c in (0, 1)]
 
 
-def _check_exact(n: int, s: int, k: int) -> None:
-    """The overflow guard of exact counting.
+def _moduli(n: int, s: int, k: int):
+    """The one overflow guard: the moduli of a pass over length n at (s, k).
 
     A pattern of length ell occurs at most C(n - (ell-1)(s-1), ell) times in a
     string of length n (the all-ones string reaches it), and every partial
-    count of the recurrence is such a count, so uint64 arithmetic is exact
-    unless this bound reaches 2^64 for some ell <= k.
+    count of the recurrence is such a count. Below 2^64 that bound B needs no
+    moduli (None: one unreduced uint64 row). Above it, the (r, 1) column of
+    the fewest pinned primes whose product exceeds B: two counts in [0, B]
+    with equal residues are then equal. Past all five, OverflowError.
     """
-    if max(slice_bound(n, s, ell) for ell in range(1, k + 1)) >= _UINT64_LIMIT:
-        raise ExactOverflowError(
-            f"counts for n={n}, s={s}, k={k} may exceed 64 bits; use fingerprint mode"
-        )
-
-
-def _moduli(mode: str):
-    """None for EXACT mode, else the (primes, 1) FINGERPRINT moduli column."""
-    if mode == "exact":
+    bound = max(slice_bound(n, s, ell) for ell in range(1, k + 1))
+    if bound < _UINT64_LIMIT:
         return None
-    if mode != "fingerprint":
-        raise ValueError(f"unknown signature mode {mode!r}")
-    return _MODULI
+    product = 1
+    for r, p in enumerate(DEFAULT_FINGERPRINT_PRIMES, 1):
+        product *= p
+        if product > bound:
+            return np.asarray(DEFAULT_FINGERPRINT_PRIMES[:r], dtype=np.uint64)[:, None]
+    raise OverflowError(
+        f"counts for n={n}, s={s}, k={k} may reach {bound.bit_length()} bits, "
+        f"past the {product.bit_length()}-bit product of the pinned primes"
+    )
+
+
+def _exact(res, mods) -> list:
+    """The counts of a pass's (rows, P) result, as Python ints: its one exact
+    row, or the Chinese remainder of each column's residues, which is the
+    count itself, since _moduli's product exceeds every count."""
+    if mods is None:
+        return res[0].tolist()
+    primes = mods[:, 0].tolist()
+    m = math.prod(primes)
+    coef = [m // p * pow(m // p, -1, p) for p in primes]
+    return [sum(c * r for c, r in zip(coef, col)) % m for col in zip(*res.tolist())]
 
 
 def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
@@ -144,13 +155,13 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     x holds letter indices into tables. The state is a (rows, width) uint64
     array whose column 0 is the pinned empty prefix; the letter at position i
     adds the state as of position i-s, ring[1] when it is read.
-    Without mods there is one row of exact counts (callers run _check_exact
-    first). With mods, _moduli's column, there is one row per modulus, reduced
+    Without mods there is one row of exact counts (callers take mods from
+    _moduli). With mods, _moduli's column, there is one row per modulus, reduced
     by the exact conditional subtract min(v, v - p): residues lie below
     p < 2^62, so v < 2p never wraps, and v - p wraps above v exactly when v < p.
     `ring`, if given, is the ring to start from instead of the root: s+1
-    states of any stack of such row blocks (in FINGERPRINT mode, blocks of one
-    row per modulus), every block reading the same letters; a pass's own ring
+    states of any stack of such row blocks (with mods, blocks of one row per
+    modulus), every block reading the same letters; a pass's own ring
     continues it. The moduli are tiled once per pass to the full shape of an
     update, and a pass of one exact row from the root keeps a 1-D state, as
     (1, width) slicing costs each numpy call more; its ring is returned as
@@ -186,18 +197,17 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     return ring if acc.ndim == 2 else deque((state[None] for state in ring), maxlen=s + 1)
 
 
-def _punctured_counts(x: tuple, s: int, k: int, mode: str) -> tuple:
+def _punctured_counts(x: tuple, s: int, k: int) -> tuple:
     """Deck counts of x and of its L, R and LR punctures, from one pass.
 
     The pass runs over x[1:] on two stacked blocks: the first starts from the
     state after x[0] (the root, plus 1 on the one-letter pattern x[0]), so it
     ends on x, and the second from the root, so it ends on L = x[1:]. The
     states before the last letter are R = x[:-1] and LR = x[1:-1]. Each entry
-    is a (rows, P) array as in _run_pass. Needs len(x) >= 2.
+    is a (rows, P) array as in _run_pass, on the moduli of len(x), which bound
+    the counts of all four: equal arrays are equal decks. Needs len(x) >= 2.
     """
-    mods = _moduli(mode)
-    if mods is None:
-        _check_exact(len(x), s, k)
+    mods = _moduli(len(x), s, k)
     rows, width = 1 if mods is None else len(mods), pattern_count(k) + 1
     root = np.zeros((2 * rows, width), dtype=np.uint64)
     root[:, 0] = 1
@@ -210,20 +220,12 @@ def _punctured_counts(x: tuple, s: int, k: int, mode: str) -> tuple:
 
 @dataclass(frozen=True)
 class DeckSignature:
-    """Per-pattern multiplicity vector for B^(k), in canonical pattern order.
-
-    In EXACT mode counts is a tuple of ints; in FINGERPRINT mode a tuple of
-    residue tuples, one residue per prime in primes (DEFAULT_FINGERPRINT_PRIMES).
-    """
+    """Per-pattern multiplicity vector for B^(k), in canonical pattern order:
+    a tuple of exact ints."""
 
     params: GapParams
-    mode: str  # "exact" | "fingerprint"
     counts: tuple
-
-    @property
-    def primes(self) -> tuple:
-        """The moduli of the residues: DEFAULT_FINGERPRINT_PRIMES, or () in EXACT mode."""
-        return DEFAULT_FINGERPRINT_PRIMES if self.mode == "fingerprint" else ()
+    mode = "exact"  # not a field: every signature is exact (perfbench/workloads.py reads it)
 
     def length_slice(self, ell: int) -> tuple:
         """Counts of all patterns of length exactly ell, in lex order."""
@@ -236,53 +238,46 @@ class DeckSignature:
 def count_gapped(w: tuple, x: tuple, s: int) -> int:
     """Occurrences of pattern w in x with successive indices >= s apart.
 
-    One exact pass of the recurrence over the prefixes of w; raises
-    ExactOverflowError when the count could reach 2^64.
+    One pass of the recurrence over the prefixes of w, on _moduli's moduli.
     """
     if len(w) == 0:
         raise ValueError("empty patterns are excluded from decks")
     _check_params((s, len(w)))
     w = tuple(w)
-    _check_exact(len(x), s, len(w))
+    mods = _moduli(len(x), s, len(w))
     # the trie of one pattern is a chain: column j is w[:j], and letter c
     # adds column j-1 to column j wherever w[j-1] == c
     dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
-    return int(_run_pass(x, s, [(d, d - 1) for d in dst], len(w) + 1)[-1][0, -1])
+    ring = _run_pass(x, s, [(d, d - 1) for d in dst], len(w) + 1, mods)
+    return _exact(ring[-1][:, -1:], mods)[0]
 
 
 def signature(x: tuple, params: GapParams, mode: str = "exact") -> DeckSignature:
-    """Full deck signature of x under (s, k), in EXACT or FINGERPRINT mode.
+    """Full deck signature of x under (s, k): exact counts at any length.
 
-    EXACT mode is refused with ExactOverflowError when some count could
-    reach 2^64 (see _check_exact); callers should then switch to FINGERPRINT
-    mode.
+    `mode` is accepted and ignored; perfbench/workloads.py still passes it.
     """
     s, k = _check_params(params)
-    mods = _moduli(mode)
-    if mods is None:
-        _check_exact(len(x), s, k)
+    mods = _moduli(len(x), s, k)
     res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[-1][:, 1:]
-    counts = tuple(res[0].tolist()) if mods is None else tuple(zip(*res.tolist()))
-    return DeckSignature(GapParams(s, k), mode, counts)
+    return DeckSignature(GapParams(s, k), tuple(_exact(res, mods)))
 
 
-def deck_equal(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> bool:
+def deck_equal(x: tuple, y: tuple, params: GapParams) -> bool:
     """Whether x and y have identical gapped decks B^(k) under (s, k).
 
     Unequal lengths are compared honestly through their count vectors (the
     length-1 totals then differ, so the result is false) — no length
     short-circuit.
     """
-    sx = signature(x, params, mode)
-    sy = signature(y, params, mode)
-    return sx.counts == sy.counts
+    return signature(x, params).counts == signature(y, params).counts
 
 
-def exact_deck_equal(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> bool:
+def exact_deck_equal(x: tuple, y: tuple, params: GapParams) -> bool:
     """Whether only the length-exactly-k slices (the exact decks D^(k)) agree."""
     params = _check_params(params)
-    sx = signature(x, params, mode)
-    sy = signature(y, params, mode)
+    sx = signature(x, params)
+    sy = signature(y, params)
     return sx.length_slice(params.k) == sy.length_slice(params.k)
 
 
@@ -295,7 +290,7 @@ class Eq7Report:
     l_equal: bool
     r_equal: bool
     params: GapParams
-    mode: str = "exact"
+    mode = "exact"  # not a field: every verdict is exact; the record keeps the key
 
     @property
     def all_equal(self) -> bool:
@@ -304,14 +299,15 @@ class Eq7Report:
     def to_record(self) -> dict:
         rec = asdict(self)
         rec["s"], rec["k"] = rec.pop("params")
-        return {**rec, "all_equal": self.all_equal}
+        return {**rec, "mode": self.mode, "all_equal": self.all_equal}
 
 
 def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq7Report:
     """Check the four-way condition: decks equal before and after every puncture.
 
     One pass per string (_punctured_counts: x and x[1:] stacked in one pass
-    over x[1:]); EXACT mode is guarded once, at the full length.
+    over x[1:]), whose count arrays are compared as they are. `mode` is
+    accepted and ignored; perfbench/workloads.py still passes it.
     """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -319,8 +315,8 @@ def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq
         raise ValueError("need length >= 2 so both ends can be punctured")
 
     params = _check_params(params)
-    a = _punctured_counts(x, *params, mode)
-    b = _punctured_counts(y, *params, mode)
+    a = _punctured_counts(x, *params)
+    b = _punctured_counts(y, *params)
     plain, left, right, both = (np.array_equal(u, v) for u, v in zip(a, b))
     return Eq7Report(
         plain_equal=plain,
@@ -328,26 +324,18 @@ def verify_eq7(x: tuple, y: tuple, params: GapParams, mode: str = "exact") -> Eq
         l_equal=left,
         r_equal=right,
         params=params,
-        mode=mode,
     )
 
 
 def enumerate_deck(x: tuple, params: GapParams) -> list:
-    """Nonzero (pattern, multiplicity) entries of the exact signature, in order.
+    """Nonzero (pattern, multiplicity) entries of the signature, in order.
 
     Display/debug helper; refuses absurd pattern spaces (> 10^6 patterns).
     """
     s, k = _check_params(params)
     if pattern_count(k) > 10**6:
         raise ValueError(f"k={k} would enumerate {pattern_count(k)} patterns; refusing")
-    sig = signature(x, params, "exact")
+    sig = signature(x, params)
     pats = patterns_upto(k)
     return [(w, c) for w, c in zip(pats, sig.counts) if c != 0]
 
-
-def fingerprint(sig: DeckSignature) -> DeckSignature:
-    """Reduce an EXACT signature modulo each prime (deterministic homomorphism)."""
-    if sig.mode != "exact":
-        raise ValueError("fingerprint expects an EXACT-mode signature")
-    counts = tuple(tuple(c % p for p in DEFAULT_FINGERPRINT_PRIMES) for c in sig.counts)
-    return DeckSignature(sig.params, "fingerprint", counts)

@@ -70,9 +70,9 @@ from typing import Optional
 
 import numpy as np
 
+from gapdeck import deck
 from gapdeck.deck import (
     GapParams,
-    _check_exact,
     _check_params,
     _deck_tables,
     _punctured_counts,
@@ -304,7 +304,7 @@ def _confirm_key(x, params, deck_kind: str):
     if deck_kind == WILDCARD_U:  # the family counts, from the independent reference
         return tuple(count_wildcard(w, x) for w in _family(*params))
     if deck_kind == EQ7_STAR:  # plain, L, R and LR counts
-        return tuple(c.tobytes() for c in _punctured_counts(x, *params, "exact"))
+        return tuple(c.tobytes() for c in _punctured_counts(x, *params))
     sig = signature(x, params)
     if deck_kind == EXACT_D:
         return sig.length_slice(params.k)
@@ -422,9 +422,9 @@ def find_collision(
     Enumerates all 2^n strings. params is GapParams(s, k) for the deck kinds
     and (k1, k2) for WILDCARD_U, whose pairs are strings over {X, Y} equal on
     every count of search_SU's family. The strings are bucketed by one 64-bit
-    hash lane, and every group is confirmed by exact recomputation: uint64
-    signatures (count_wildcard for WILDCARD_U), whose overflow guard passes
-    for every n <= 67, far past any length whose 2^n lanes fit in memory.
+    hash lane, and every group is confirmed by exact recomputation: deck
+    signatures (count_wildcard for WILDCARD_U). A length whose 2^n lanes of
+    8 bytes exceed physical memory is refused with MemoryError up front.
     `checkpoint`, if given, is a directory: each finished code range's lane
     goes to a .npz sidecar, and a resume reads the sidecars alone, each lane
     straight into the search's lane array. A sidecar that cannot be read,
@@ -443,10 +443,12 @@ def find_collision(
         raise ValueError(f"need n >= 1, got {n}")
     if deck_kind == EQ7_STAR and n < 2:
         raise ValueError("EQ7_STAR needs n >= 2 (both-sides puncture)")
-    # a family pattern of length l <= k1 counts at most C(n, l), as at gap 1, depth k1
-    _check_exact(n, *((1, params[0]) if deck_kind == WILDCARD_U else params))
-
     total = 1 << n
+    if 8 * total > deck._PHYSICAL_BYTES:  # before 2^n / 2^20 ranges are listed
+        raise MemoryError(
+            f"n={n} needs 8 * 2^{n} bytes of hash lanes, "
+            f"more than the {deck._PHYSICAL_BYTES} bytes of physical memory"
+        )
     step = 1 << _RANGE_BITS
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     h = np.empty(total, dtype=np.uint64)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
-from gapdeck.deck import ExactOverflowError, GapParams, verify_eq7
+from gapdeck.deck import GapParams, verify_eq7
 from gapdeck.deck import deck_equal  # noqa: F401 -- perfbench/tracing.py wraps this name
 
 
@@ -143,7 +143,7 @@ class Lemma3Instance:
 
 @dataclass(frozen=True)
 class Lemma3Report:
-    """Hypothesis and conclusion flags for one instance, plus the deciding mode."""
+    """Hypothesis and conclusion flags for one instance, all exact."""
 
     hypothesis_eq7: bool
     hypothesis_uequiv: bool
@@ -153,7 +153,7 @@ class Lemma3Report:
     conclusion_r: bool
     conclusion_lr: bool
     depth: int
-    mode: str
+    mode = "exact"  # not a field: every flag is exact; the record keeps the key
 
     @property
     def hypotheses_true(self) -> bool:
@@ -170,7 +170,7 @@ class Lemma3Report:
         )
 
     def to_record(self) -> dict:
-        return {**asdict(self), "hypotheses_true": self.hypotheses_true,
+        return {**asdict(self), "mode": self.mode, "hypotheses_true": self.hypotheses_true,
                 "conclusions_true": self.conclusions_true}
 
 
@@ -178,9 +178,7 @@ def lemma3_check(inst: Lemma3Instance) -> Lemma3Report:
     """Evaluate all hypothesis and conclusion flags for one instance.
 
     The four conclusion decks are compared at depth 3k+sigma by one
-    verify_eq7 call, in EXACT mode when the 64-bit contract allows it,
-    otherwise automatically in FINGERPRINT mode; the report says which one
-    certified the flags.
+    verify_eq7 call, exact at any length.
     """
     params = GapParams(2, inst.k)
     hyp_a = verify_eq7(inst.x, inst.y, params).all_equal
@@ -189,14 +187,7 @@ def lemma3_check(inst: Lemma3Instance) -> Lemma3Report:
     hp = substitute(inst.p, inst.x, inst.y)
     hq = substitute(inst.q, inst.x, inst.y)
     depth = 3 * inst.k + inst.sigma
-    cparams = GapParams(2, depth)
-
-    mode = "exact"
-    try:
-        concl = verify_eq7(hp, hq, cparams, mode)
-    except ExactOverflowError:
-        mode = "fingerprint"
-        concl = verify_eq7(hp, hq, cparams, mode)
+    concl = verify_eq7(hp, hq, GapParams(2, depth))
 
     return Lemma3Report(
         hypothesis_eq7=hyp_a,
@@ -207,5 +198,4 @@ def lemma3_check(inst: Lemma3Instance) -> Lemma3Report:
         conclusion_r=concl.r_equal,
         conclusion_lr=concl.lr_equal,
         depth=depth,
-        mode=mode,
     )

@@ -97,8 +97,8 @@ def test_criterion_04_padded_construction():
         ok &= deck_equal(trimmed.x, trimmed.y, GapParams(2, k))
     for k in range(7, 11):
         pair = padded_mt(k)
-        ok &= verify_eq7(pair.x, pair.y, GapParams(2, k), "fingerprint").all_equal
-    assert report(4, ok, "four-way equality k<=6 exact, k=7..10 fingerprint, "
+        ok &= verify_eq7(pair.x, pair.y, GapParams(2, k)).all_equal
+    assert report(4, ok, "four-way equality k<=10, exact (k=8..10 on two primes), "
                          "lengths 4(2^k-1) and 4(2^k-1)-2")
 
 

@@ -210,7 +210,7 @@ def test_search_G_json_envelope_bytes(capsys):
 
 @pytest.mark.parametrize("flags", [["--mode", "fingerprint"], ["--primes", "5"]])
 def test_search_has_no_fingerprint_options(capsys, flags):
-    # searches always confirm exactly; fingerprinting stays on equal and eq7
+    # every verdict is exact: no command takes a counting mode or moduli
     code = main(["search", "G", "--s", "2", "--k", "2", "--n-max", "8", *flags])
     captured = capsys.readouterr()
     assert code == 2
@@ -218,10 +218,28 @@ def test_search_has_no_fingerprint_options(capsys, flags):
     assert captured.err == f"error: gapdeck: unrecognized arguments: {' '.join(flags)}\n"
 
 
-def test_equal_fingerprint_mode_still_works(capsys):
-    code, out = run(capsys, "equal", "010011", "001101", "--k", "2", "--mode", "fingerprint")
+@pytest.mark.parametrize("command", ["equal", "eq7"])
+def test_equal_and_eq7_refuse_mode(capsys, command):
+    # --mode is gone: every verdict is exact, and the option is a usage error
+    code = main([command, "010011", "001101", "--k", "2", "--mode", "exact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: gapdeck: unrecognized arguments: --mode exact\n"
+
+
+def test_equal_and_eq7_envelopes_keep_their_bytes(capsys):
+    # the envelopes still name "mode": "exact", as search's do
+    code, out = run(capsys, "equal", "010011", "001101", "--k", "2", "--json")
     assert code == 0
-    assert out == "true\n"
+    assert out == ('{"command": "equal", "params": {"k": 2, "mode": "exact", "s": 2}, '
+                   '"result": {"equal": true}, "schema": "gapdeck/1"}\n')
+    code, out = run(capsys, "eq7", "0010", "0100", "--k", "1", "--json")
+    assert code == 0
+    assert out == ('{"command": "eq7", "params": {"k": 1, "mode": "exact", "s": 2}, '
+                   '"result": {"all_equal": true, "k": 1, "l_equal": true, "lr_equal": true, '
+                   '"mode": "exact", "plain_equal": true, "r_equal": true, "s": 2}, '
+                   '"schema": "gapdeck/1"}\n')
 
 
 _MISSING_OPTION = [

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from gapdeck import oracle, search
 from gapdeck.bounds import MINIMA
 from gapdeck.deck import (
-    ExactOverflowError,
     GapParams,
     _deck_tables,
     _run_pass,
@@ -98,7 +97,8 @@ def test_search_rejects_bad_params_before_the_guard(fn, args, name):
 
 
 def test_find_collision_overflow_guard():
-    with pytest.raises(ExactOverflowError):
+    # 2^400 lanes are refused up front, before 2^380 ranges are listed
+    with pytest.raises(MemoryError, match=r"^n=400 needs 8 \* 2\^400 bytes of hash lanes"):
         find_collision(400, GapParams(2, 24), FULL_B)
 
 

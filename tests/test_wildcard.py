@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gapdeck.constructions import padded_mt
-from gapdeck.deck import GapParams, verify_eq7
+from gapdeck.deck import GapParams, _moduli, signature, verify_eq7
 from gapdeck.wildcard import (
     Lemma3Instance,
     USetSpec,
@@ -133,15 +133,16 @@ def test_lemma3_flags_on_the_minimal_instance():
     assert not rep.conclusions_true
 
 
-def test_lemma3_falls_back_to_fingerprint_mode():
-    """Past the 64-bit guard, lemma3_check certifies in FINGERPRINT mode.
+def test_lemma3_past_64_bits_is_exact():
+    """Past 2^64, lemma3_check's flags are exact and say so.
 
     k=2, sigma=2 (depth 8): 70 blocks of 14 bits give substituted strings of
-    length 980, past n=975 where exact (2, 8) counts may exceed 64 bits. The
-    pattern pair is the smallest U(6,4)-equivalent pair padded by 47 shared
-    X's, once around it (all four conclusions come out equal) and once after
-    it (none does); either way the flags are those of a direct fingerprint
-    verify_eq7 at depth 3k+sigma.
+    length 980, past n=975 where (2, 8) counts may exceed 64 bits, so the
+    guard takes two primes. The pattern pair is the smallest
+    U(6,4)-equivalent pair padded by 47 shared X's, once around it (all four
+    conclusions come out equal) and once after it (none does); either way
+    the flags are those of a direct verify_eq7 at depth 3k+sigma, and of the
+    exact signatures of the punctured strings.
     """
     pair = padded_mt(2)
     p, q = "XYYXXXXXXXYXYXXXXXXXYYX", "YXXXXYYXXXXXXXXXYYXXXXY"
@@ -149,13 +150,16 @@ def test_lemma3_falls_back_to_fingerprint_mode():
     for p, q in (("X" * 23 + p + "X" * 24, "X" * 23 + q + "X" * 24),
                  (p + "X" * 47, q + "X" * 47)):
         rep = lemma3_check(Lemma3Instance(pair.x, pair.y, p, q, k=2, sigma=2))
-        assert rep.mode == "fingerprint"
+        assert rep.to_record()["mode"] == "exact"
         assert rep.hypotheses_true
         hp, hq = substitute(p, pair.x, pair.y), substitute(q, pair.x, pair.y)
-        assert len(hp) == 980
-        direct = verify_eq7(hp, hq, GapParams(2, 3 * 2 + 2), "fingerprint")
+        assert len(hp) == 980 and len(_moduli(980, 2, 8)) == 2
+        direct = verify_eq7(hp, hq, GapParams(2, 3 * 2 + 2))
         got = (rep.conclusion_plain, rep.conclusion_l, rep.conclusion_r, rep.conclusion_lr)
         assert got == (direct.plain_equal, direct.l_equal, direct.r_equal, direct.lr_equal)
+        cuts = (slice(None), slice(1, None), slice(None, -1), slice(1, -1))  # plain, L, R, LR
+        assert got == tuple(signature(hp[c], GapParams(2, 8)).counts
+                            == signature(hq[c], GapParams(2, 8)).counts for c in cuts)
         flags.append(got)
     assert flags[0] != flags[1]  # the comparison is not between constant flags
 
