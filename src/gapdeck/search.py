@@ -7,9 +7,8 @@ hash group by recomputing exact signatures scalar-wise. The lane is linear in
 the counts, so equal decks always share a group, and a lane coincidence costs
 one extra confirmation, never a wrong or missed witness. The confirmed witness
 returned is always the lexicographically smallest pair, independent of worker
-count: the code space is split into fixed contiguous ranges, per-range lanes
-are written into position in a full array, and the tie-break happens after a
-global sort.
+count: worker threads hash fixed contiguous code ranges straight into their
+place in one full lane array, and the tie-break happens after a global sort.
 
 search_G / search_G_star / search_exact_D scan lengths upward and stop at
 the first collision. Lengths too short to carry any depth-k slice (below
@@ -35,7 +34,7 @@ _extend. A code range is an aligned block, cut into chunks of at most 2^16
 strings and 2^21 cells (strings x the 2^k - 1 columns). deck._run_pass walks a
 chunk's top bits (at most m: a smaller block is sliced out of its chunk); its
 states are the gap window the tree grows from, and one bit-reversal gather
-puts the chunk's lanes in code order (in place, in a one-process search).
+puts the chunk's lanes in code order, straight into the search's lane array.
 EQ7_STAR sums two trees, the plain one and one over the code mod 2^(n-1)
 (the L puncture: drop the first bit). Each folds its parent-level puncture
 (R, LR) into one summed lane vector through level n-1, and its last step adds
@@ -57,10 +56,9 @@ recomputed. search.log is an append-only progress record.
 """
 from __future__ import annotations
 
-import concurrent.futures  # its ProcessPoolExecutor is imported on first use
+import concurrent.futures
 import functools
 import logging
-import multiprocessing
 import os
 import time
 import zipfile
@@ -288,11 +286,6 @@ def _lane_hashes(n: int, a: int, b: int, deck_kind: str, lo: int, hi: int, out=N
     return _tree_hashes(n, s, b, lo, hi, lanes, out=out)
 
 
-def _hash_range(args):
-    n, a, b, deck_kind, lo, hi = args
-    return lo, hi, _lane_hashes(n, a, b, deck_kind, lo, hi)
-
-
 def _code_to_string(code: int, n: int, deck_kind: str):
     """The string of a code: a bit tuple, or over {X, Y} for WILDCARD_U."""
     bits = tuple((code >> (n - 1 - i)) & 1 for i in range(n))
@@ -425,6 +418,9 @@ def find_collision(
     hash lane, and every group is confirmed by exact recomputation: deck
     signatures (count_wildcard for WILDCARD_U). A length whose 2^n lanes of
     8 bytes exceed physical memory is refused with MemoryError up front.
+    Up to `workers` threads hash the ranges of 2^_RANGE_BITS codes, each into
+    its slice of the lane array (one worker, or one range, hashes in the
+    calling thread); an error in one cancels the ranges not yet started.
     `checkpoint`, if given, is a directory: each finished code range's lane
     goes to a .npz sidecar, and a resume reads the sidecars alone, each lane
     straight into the search's lane array. A sidecar that cannot be read,
@@ -462,31 +458,35 @@ def find_collision(
                 continue
             if os.path.exists(sidecar):
                 log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
-        pending.append((n, *params, deck_kind, lo, hi))
+        pending.append((lo, hi))
+    t_pace = time.perf_counter()  # the ETA's pace is of hashing alone, not of loading
 
-    def store(i, lo, hi, lanes):
-        h[lo:hi] = lanes  # a no-op when the lanes were written in place
+    def hash_range(task):
+        lo, hi = task
+        _lane_hashes(n, *params, deck_kind, lo, hi, h[lo:hi])
+        return task
+
+    def store(i, lo, hi):
         if checkpoint is not None:
-            _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), lanes)
+            _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), h[lo:hi])
             with open(os.path.join(checkpoint, "search.log"), "a") as fh:
                 fh.write(f"{deck_kind} {' '.join(map(str, params))} {n} {lo}:{hi} done\n")
         if len(ranges) >= 2:  # progress, with an ETA at the pace so far
-            spent, left = time.perf_counter() - t_hash, len(pending) - i
+            now, left = time.perf_counter(), len(pending) - i
             log.info("n=%d %s %s: %d/%d ranges done, %.1f s elapsed, ETA %.1f s", n, deck_kind,
-                     " ".join(_tags(params, deck_kind)), len(ranges) - left, len(ranges), spent,
-                     spent / i * left)
+                     " ".join(_tags(params, deck_kind)), len(ranges) - left, len(ranges),
+                     now - t_hash, (now - t_pace) / i * left)
 
     if checkpoint is not None:
         os.makedirs(checkpoint, exist_ok=True)
-    if workers <= 1 or len(pending) <= 1:
-        for i, task in enumerate(pending, 1):
-            store(i, *task[-2:], _lane_hashes(*task, h[task[-2] : task[-1]]))
-    else:  # a worker that dies raises BrokenProcessPool here instead of hanging
-        ctx = multiprocessing.get_context("fork")
-        pool = concurrent.futures.ProcessPoolExecutor(min(workers, len(pending)), mp_context=ctx)
-        with pool:
-            for i, result in enumerate(pool.map(_hash_range, pending), 1):
-                store(i, *result)
+    threads = min(workers, len(pending))
+    pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 else None
+    try:  # the ranges come back in order, and the pool hashes on while this thread stores
+        for i, task in enumerate((pool.map if pool else map)(hash_range, pending), 1):
+            store(i, *task)
+    finally:
+        if pool is not None:  # an error cancels the ranges not yet started
+            pool.shutdown(cancel_futures=True)
 
     t_sort = time.perf_counter()
     groups = _hash_groups(h)
@@ -515,7 +515,7 @@ def find_collision(
         "n=%d %s %s: %d strings hashed, ranges %d computed / %d loaded, "
         "%d hash-coincident groups (%d confirmed, %d hash false positives); "
         "hash %.3f s, sort %.3f s, confirm %.3f s",
-        n, deck_kind, " ".join(_tags(params, deck_kind)), sum(hi - lo for *_, lo, hi in pending),
+        n, deck_kind, " ".join(_tags(params, deck_kind)), sum(hi - lo for lo, hi in pending),
         len(pending), len(ranges) - len(pending), len(groups), confirmed, split,
         t_sort - t_hash, t_confirm - t_sort, t_end - t_confirm,
     )

@@ -8,10 +8,12 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
 import gapdeck
+from gapdeck import search
 from gapdeck.cli import build_parser, main
 
 
@@ -153,8 +155,6 @@ def test_search_SU_checkpoint_and_verbose_keep_stdout(tmp_path):
 
 
 def test_search_SU_passes_workers_and_checkpoint(capsys, tmp_path, monkeypatch):
-    import gapdeck.search as search
-
     seen = []
     real = search.find_collision
 
@@ -170,31 +170,29 @@ def test_search_SU_passes_workers_and_checkpoint(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "search.log").exists()
 
 
-_DYING_WORKER = """
-import os, sys
-from gapdeck import cli, search
+def test_failing_range_cancels_the_rest_and_exits_two(capsys, monkeypatch):
+    # 64 ranges of 2^8 codes at n = 14; the second one fails on a worker
+    # thread, which ends the search with exit 2, and the ranges not yet
+    # started are cancelled instead of hashed
+    monkeypatch.setattr(search, "_RANGE_BITS", 8)
+    real = search._lane_hashes
+    hashed = []
 
-real = search._hash_range
+    def failing(n, a, b, deck_kind, lo, hi, out=None):
+        if n == 14:
+            hashed.append(lo)
+            if lo == 256:
+                raise MemoryError("cannot hash range 256:512")
+            time.sleep(0.01)
+        return real(n, a, b, deck_kind, lo, hi, out)
 
-def dying(args):
-    if args[-2] > 0:  # every range but the first: only worker processes see one
-        os._exit(1)
-    return real(args)
-
-search._hash_range = dying
-sys.exit(cli.main(["search", "G", "--s", "2", "--k", "4", "--n-max", "21", "--workers", "2"]))
-"""
-
-
-def test_dead_worker_exits_two():
-    # n=21 is the first length split into two ranges; the worker hashing the
-    # second one dies, which must end the search with exit 2, not a hang
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gapdeck.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
+    monkeypatch.setattr(search, "_lane_hashes", failing)
+    code = main(["search", "G", "--s", "2", "--k", "4", "--n-max", "14", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cannot hash range 256:512\n"
+    assert 256 in hashed and len(hashed) < 64
 
 
 def test_search_G_json_envelope_bytes(capsys):
@@ -302,7 +300,7 @@ def test_overflowing_bound_exits_two(capsys, argv, message):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_search_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
     # refused before any length is scanned, not run serially
-    monkeypatch.setattr("gapdeck.search._hash_range", None)
+    monkeypatch.setattr("gapdeck.search._lane_hashes", None)
     code = main(["search", "G", "--k", "2", "--n-max", "8", "--workers", workers])
     captured = capsys.readouterr()
     assert code == 2

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import time
 import zipfile
 
 import numpy as np
@@ -251,6 +252,71 @@ def test_worker_count_does_not_change_reports():
     assert json.dumps(r1.to_record(), sort_keys=True) == json.dumps(
         r4.to_record(), sort_keys=True
     )
+
+
+_MULTI_RANGE = [
+    (search_G, (GapParams(2, 3), 13)),  # 32 ranges of 2^8 codes at n = 13
+    (search_G_star, (GapParams(2, 3), 15)),  # 128 at n = 15
+    (search_SU, (4, 3, 12)),  # 16 at m = 12
+]
+
+
+@pytest.mark.parametrize("fn, args", _MULTI_RANGE, ids=[FULL_B, EQ7_STAR, WILDCARD_U])
+def test_parallel_ranges_give_the_one_process_search(monkeypatch, tmp_path, caplog, fn, args):
+    # ranges of 2^8 codes, so threads hash many at once at the last lengths:
+    # the same lanes, witness and record bytes from 1, 2 and 3 workers
+    monkeypatch.setattr(search, "_RANGE_BITS", 8)
+    lanes = []
+    real = search._hash_groups
+
+    def spy(h):
+        lanes.append(h.copy())
+        return real(h)
+
+    monkeypatch.setattr(search, "_hash_groups", spy)
+    runs = {}
+    for workers in (1, 2, 3):
+        lanes.clear()
+        rec = fn(*args, workers=workers).to_record()
+        runs[workers] = json.dumps(rec, sort_keys=True), rec["witnesses"], list(lanes)
+    assert len(runs[1][2][-1]) >> 8 >= 16
+    for workers in (2, 3):
+        assert runs[workers][:2] == runs[1][:2]
+        assert len(runs[workers][2]) == len(runs[1][2])
+        assert all(np.array_equal(a, b) for a, b in zip(runs[workers][2], runs[1][2]))
+    # a checkpoint written by 3 workers resumes with every range loaded
+    ckpt = str(tmp_path)
+    assert json.dumps(fn(*args, workers=3, checkpoint=ckpt).to_record(), sort_keys=True) == runs[1][0]
+    caplog.set_level("INFO", logger="gapdeck.search")
+    assert json.dumps(fn(*args, workers=3, checkpoint=ckpt).to_record(), sort_keys=True) == runs[1][0]
+    want = [(0, max(1, len(h) >> 8)) for h in runs[1][2]]
+    assert _loaded_and_computed(caplog) == want
+
+
+def test_eta_paces_hashing_alone(monkeypatch, tmp_path, caplog):
+    # 14 of 16 ranges load, slowly; the ETA after the first of the two left
+    # is one range's hashing time, while "elapsed" still counts the loading
+    monkeypatch.setattr(search, "_RANGE_BITS", 8)
+    ckpt = str(tmp_path)
+    want = find_collision(12, GapParams(2, 3), checkpoint=ckpt)
+    for sidecar in sorted(tmp_path.glob("*.npz"))[:2]:
+        sidecar.unlink()
+    real = search._load_sidecar
+
+    def slow(*args):
+        time.sleep(0.025)
+        return real(*args)
+
+    monkeypatch.setattr(search, "_load_sidecar", slow)
+    caplog.set_level("INFO", logger="gapdeck.search")
+    assert find_collision(12, GapParams(2, 3), checkpoint=ckpt) == want
+    progress = [re.search(r"(\d+)/16 ranges done, ([\d.]+) s elapsed, ETA ([\d.]+) s",
+                          r.getMessage()) for r in caplog.records]
+    progress = [(int(m[1]), float(m[2]), float(m[3])) for m in progress if m]
+    assert [done for done, *_ in progress] == [15, 16]
+    _, elapsed, eta = progress[0]
+    assert elapsed >= 0.3  # 16 loads of 25 ms
+    assert eta <= 0.1
 
 
 def test_checkpoint_resume(tmp_path):
