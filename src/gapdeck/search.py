@@ -49,10 +49,11 @@ are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
 Hash groups: tied lanes are read off one sort of the lane (below a search's
 minimum there are none), and one pass over the lane finds their positions. A
-resume reads the .npz checkpoint sidecars alone, each lane straight into its
-place in the search's lane array; each carries its range key (format
-version, deck kind, params, n, lo:hi), so a foreign or older one is
-recomputed. search.log is an append-only progress record.
+resume reads the checkpoint sidecars alone, each lane straight into its
+place in the search's lane array. A sidecar is one header line, its range
+key (format version, lane dtype, deck kind, params, n, lo:hi) and the lane's
+CRC-32, then the raw lane, so a foreign, older or damaged one is recomputed.
+search.log is an append-only progress record.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ import functools
 import logging
 import os
 import time
-import zipfile
+import zlib
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -94,8 +95,7 @@ _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
 _LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x the 2^k - 1 grown columns)
-_SIDECAR_FORMAT = "gapdeck-lanes/3"  # format 1 held no range key, format 2 two lanes
-_READ_BYTES = 1 << 18  # a sidecar's lane is read into place in pieces of this size
+_SIDECAR_FORMAT = "gapdeck-lanes/4"  # formats 1-3 were .npz files: 1 held no range key, 2 two lanes
 # _extend's tables for level m's lane step: its two lanes take the letter-0
 # update's two from rows 0:2 of the stacked updates, the letter-1 update's from 2:4
 _LANE_HALVES = [(slice(None), slice(0, 2)), (slice(None), slice(2, 4))]
@@ -312,55 +312,43 @@ def _tags(params, deck_kind: str) -> list:
 
 def _sidecar(checkpoint: str, n, params, deck_kind, lo, hi) -> tuple:
     """(path, key) of a range's sidecar: the key says what its lane is of,
-    the format, the search and the range."""
+    the format, the lane's dtype, the search and the range."""
     tags = _tags(params, deck_kind)
     name = "_".join([deck_kind, *(tag.replace("=", "") for tag in tags), f"n{n}", str(lo), str(hi)])
-    key = " ".join([_SIDECAR_FORMAT, deck_kind, *tags, f"n={n}", f"{lo}:{hi}"])
-    return os.path.join(checkpoint, name + ".npz"), key
+    key = " ".join([_SIDECAR_FORMAT, np.dtype(np.uint64).str, deck_kind, *tags, f"n={n}",
+                    f"{lo}:{hi}"])
+    return os.path.join(checkpoint, name + ".lanes"), key
 
 
 def _load_sidecar(sidecar: str, key: str, out: np.ndarray) -> bool:
     """Read the lane a sidecar holds for the range `key` straight into `out`.
 
-    False when the file is missing or unreadable, carries no key or another
-    one, or holds a lane of another shape or dtype; `out` may then hold part
-    of the lane, and the caller recomputes it in place. The key is checked
-    first, then the .npy header, and the lane is read in pieces of
-    _READ_BYTES to the end of its member, so the zip's CRC-32 check runs.
+    A sidecar is one header line, the key and the lane's CRC-32 in 8 hex
+    digits, then the lane's raw bytes to the end of the file. False when the
+    file is missing or unreadable, carries another key, is not exactly that
+    line and out.nbytes long, or fails its CRC-32; `out` may then hold the
+    lane read so far, and the caller recomputes it in place.
     """
     try:
-        with zipfile.ZipFile(sidecar) as zf:
-            with zf.open("key.npy") as fh:
-                if str(np.lib.format.read_array(fh)) != key:
-                    return False
-            with zf.open("h.npy") as fh:
-                if (np.lib.format.read_magic(fh) != (1, 0)  # np.savez writes a lane as 1.0
-                        or np.lib.format.read_array_header_1_0(fh) != (out.shape, False, out.dtype)):
-                    return False
-                view = memoryview(out).cast("B")
-                for at in range(0, len(view), _READ_BYTES):
-                    piece = view[at : at + _READ_BYTES]
-                    if fh.readinto(piece) != len(piece):
-                        return False
-                return fh.read() == b""
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        with open(sidecar, "rb") as fh:
+            line = fh.readline(len(key) + 10)  # the key, a space, 8 hex digits, a newline
+            stored, _, crc = line.decode("ascii", "replace").rpartition(" ")
+            if (stored != key or os.fstat(fh.fileno()).st_size != len(line) + out.nbytes
+                    or fh.readinto(memoryview(out).cast("B")) != out.nbytes):
+                return False
+            return crc == f"{zlib.crc32(memoryview(out)):08x}\n"
+    except OSError:
         return False
 
 
 def _save_sidecar(sidecar: str, key: str, h: np.ndarray) -> None:
-    """Write the lane and its range key to a temporary file, then rename it
-    over the sidecar, so a reader never sees a half-written one.
-
-    The file holds the members np.savez(key=..., h=...) would write, and
-    np.load reads it, but the lane goes from `h` to its member behind a .npy
-    1.0 header, with no copy of it made."""
+    """Write the header line and the lane, straight from `h` with no copy, to
+    a temporary file, then rename it over the sidecar, so a reader never sees
+    a half-written one."""
     tmp = sidecar + ".tmp"
-    with zipfile.ZipFile(tmp, "w") as zf:
-        with zf.open("key.npy", "w") as fh:
-            np.lib.format.write_array(fh, np.array(key))
-        with zf.open("h.npy", "w") as fh:
-            np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(h))
-            fh.write(memoryview(h).cast("B"))
+    with open(tmp, "wb") as fh:
+        fh.write(f"{key} {zlib.crc32(memoryview(h)):08x}\n".encode())
+        fh.write(memoryview(h).cast("B"))
     os.replace(tmp, sidecar)
 
 
@@ -422,11 +410,12 @@ def find_collision(
     its slice of the lane array (one worker, or one range, hashes in the
     calling thread); an error in one cancels the ranges not yet started.
     `checkpoint`, if given, is a directory: each finished code range's lane
-    goes to a .npz sidecar, and a resume reads the sidecars alone, each lane
-    straight into the search's lane array. A sidecar that cannot be read,
-    holds a lane of the wrong shape, or whose stored range key (format
-    version, deck kind, params, n, lo:hi) is missing or names another range
-    is logged as unusable and its range recomputed into the same place.
+    goes to a .lanes sidecar (a header line, then the raw lane), and a resume
+    reads the sidecars alone, each lane straight into the search's lane
+    array. A sidecar that cannot be read, holds a lane of the wrong length,
+    fails its CRC-32, or whose range key (format version, lane dtype, deck
+    kind, params, n, lo:hi) names another range is logged as unusable and
+    its range recomputed into the same place.
     search.log there is an append-only progress record of the ranges
     computed, which a resume does not read.
     One INFO line reports the strings hashed, the ranges computed and loaded,

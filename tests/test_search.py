@@ -2,10 +2,11 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import time
-import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -299,7 +300,9 @@ def test_eta_paces_hashing_alone(monkeypatch, tmp_path, caplog):
     monkeypatch.setattr(search, "_RANGE_BITS", 8)
     ckpt = str(tmp_path)
     want = find_collision(12, GapParams(2, 3), checkpoint=ckpt)
-    for sidecar in sorted(tmp_path.glob("*.npz"))[:2]:
+    sidecars = sorted(tmp_path.glob("*.lanes"))
+    assert len(sidecars) == 16
+    for sidecar in sidecars[:2]:
         sidecar.unlink()
     real = search._load_sidecar
 
@@ -345,32 +348,52 @@ def test_checkpoint_resumes_from_sidecars_alone(tmp_path, caplog):
     assert not (tmp_path / "search.log").exists()  # loaded ranges are not logged again
 
 
-@pytest.mark.parametrize("damage", ["short lanes", "cut file", "flipped byte"])
+def _write_sidecar(path, key, lane: bytes):
+    """A sidecar written by hand: the key and the lane's CRC-32, then the lane."""
+    path.write_bytes(f"{key} {zlib.crc32(lane):08x}\n".encode() + lane)
+
+
+def _split_sidecar(path):
+    """(key, crc, lane bytes) of a sidecar."""
+    line, lane = path.read_bytes().split(b"\n", 1)
+    key, crc = line.decode().rsplit(" ", 1)
+    return key, crc, lane
+
+
+@pytest.mark.parametrize("damage", ["short lanes", "trailing bytes", "cut file", "flipped byte",
+                                    "flipped crc digit", "big-endian lanes"])
 def test_checkpoint_rejects_damaged_sidecar(tmp_path, caplog, damage):
     ckpt = str(tmp_path)
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
-    (sidecar,) = tmp_path.glob("*.npz")
+    (sidecar,) = tmp_path.glob("*.lanes")
     data = sidecar.read_bytes()
-    if damage == "short lanes":
-        with np.load(sidecar) as arrays:
-            key, h = arrays["key"], arrays["h"]
-        with open(sidecar, "wb") as fh:
-            np.savez(fh, key=key, h=h[:-1])
+    key, crc, lane = _split_sidecar(sidecar)
+    assert len(lane) == 8 * 256
+    if damage == "short lanes":  # a whole header, its CRC-32 right for the lanes it holds
+        _write_sidecar(sidecar, key, lane[:-8])
+    elif damage == "trailing bytes":  # the lane intact, its CRC-32 right, then more
+        sidecar.write_bytes(data + bytes(8))
     elif damage == "cut file":
         sidecar.write_bytes(data[:100])
-    else:  # one byte in the middle of the stored lane: only the zip's CRC-32 sees it
-        mid = len(data) // 2
-        assert data.index(b"h.npy") < mid < data.rindex(b"key.npy")
+    elif damage == "flipped byte":  # one byte in the middle of the lane: only the CRC-32 sees it
+        mid = len(data) - len(lane) // 2
         sidecar.write_bytes(data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1 :])
+    elif damage == "flipped crc digit":
+        flipped = "0123456789abcdef"[("0123456789abcdef".index(crc[3]) + 1) % 16]
+        sidecar.write_bytes(f"{key} {crc[:3]}{flipped}{crc[4:]}\n".encode() + lane)
+    else:  # the same lanes stored big-endian, under a key and CRC-32 of their own
+        assert " <u8 " in key
+        swapped = np.frombuffer(lane, dtype="<u8").astype(">u8").tobytes()
+        _write_sidecar(sidecar, key.replace(" <u8 ", " >u8 "), swapped)
+    assert sidecar.read_bytes() != data
     caplog.set_level("INFO", logger="gapdeck.search")
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
     assert "unusable" in caplog.text
     assert _loaded_and_computed(caplog) == [(1, 0)]
     # the range was recomputed and its sidecar rewritten whole, with no temp file left
     assert sorted(p.name for p in tmp_path.iterdir()) == [sidecar.name, "search.log"]
-    with np.load(sidecar) as arrays:
-        assert arrays["h"].shape == (256,)
+    assert sidecar.read_bytes() == data
     # and the rewritten sidecar loads cleanly on the next resume
     caplog.clear()
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
@@ -380,36 +403,34 @@ def test_checkpoint_rejects_damaged_sidecar(tmp_path, caplog, damage):
 
 def test_sidecar_failing_after_a_partial_read_is_recomputed_in_place(tmp_path, caplog,
                                                                      monkeypatch):
-    # a resume reads each lane straight into the search's lane array, in
-    # pieces; a flipped byte in the first piece is written there before the
-    # zip's CRC-32, checked at the member's end, rejects the sidecar, so the
-    # range must be recomputed over it or the witness's lane stays wrong
+    # a resume reads each lane straight into the search's lane array; a
+    # flipped byte is written there before the CRC-32, checked once the whole
+    # lane is in place, rejects the sidecar, so the range must be recomputed
+    # over it or the witness's lane stays wrong
     ckpt = str(tmp_path)
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
-    (sidecar,) = tmp_path.glob("*.npz")
-    with np.load(sidecar) as arrays:
-        lane = arrays["h"].tobytes()
+    (sidecar,) = tmp_path.glob("*.lanes")
     data = sidecar.read_bytes()
-    at = data.index(lane) + 8 * 0b00001101  # a byte of the first witness's lane
-    sidecar.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :])
-    monkeypatch.setattr(search, "_READ_BYTES", 256)  # eight pieces of 32 lanes
+    lane = _split_sidecar(sidecar)[2]
+    at = len(data) - len(lane) + 8 * 0b00001101  # a byte of the first witness's lane
+    damaged = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+    sidecar.write_bytes(damaged)
     loaded = {}
     load = search._load_sidecar
 
     def recorded(path, key, out):
         ok = load(path, key, out)
-        loaded["first piece"] = out[:32].tobytes()
+        loaded["lane"] = out.tobytes()
         return ok
 
     monkeypatch.setattr(search, "_load_sidecar", recorded)
     caplog.set_level("INFO", logger="gapdeck.search")
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
-    assert loaded["first piece"] != lane[:256]  # the damaged piece was read into place
+    assert loaded["lane"] == damaged[-len(lane) :]  # the whole damaged lane was read into place
     assert "unusable" in caplog.text
     assert _loaded_and_computed(caplog) == [(1, 0)]
-    with np.load(sidecar) as arrays:
-        assert arrays["h"].tobytes() == lane
+    assert sidecar.read_bytes() == data
 
 
 def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
@@ -419,7 +440,7 @@ def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(a)) == expected
     find_collision(8, GapParams(2, 3), FULL_B, checkpoint=str(b))
-    (mine,), (foreign,) = a.glob("*.npz"), b.glob("*.npz")
+    (mine,), (foreign,) = a.glob("*.lanes"), b.glob("*.lanes")
     mine.write_bytes(foreign.read_bytes())
     with caplog.at_level("WARNING", logger="gapdeck.search"):
         assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(a)) == expected
@@ -431,26 +452,33 @@ def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
     assert caplog.text == ""
 
 
-def test_checkpoint_recomputes_a_format_2_sidecar(tmp_path, caplog):
-    # a format-2 sidecar held two lanes, h1 and h2; its key names the old
-    # format, so it is recomputed once and rewritten in the current format
+def test_checkpoint_recomputes_an_old_format_sidecar(tmp_path, caplog, monkeypatch):
+    # a sidecar whose key names format 3 is recomputed once and rewritten in
+    # the current format; a format-3 .npz left beside it is never opened
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
-    (sidecar,) = tmp_path.glob("*.npz")
-    with np.load(sidecar) as data:
-        h = data["h"]
-    with open(sidecar, "wb") as fh:
-        np.savez(fh, key=np.array("gapdeck-lanes/2 FULL_B s=2 k=2 n=8 0:256"), h1=h, h2=~h)
+    (sidecar,) = tmp_path.glob("*.lanes")
+    data = sidecar.read_bytes()
+    key, _, lane = _split_sidecar(sidecar)
+    assert key == "gapdeck-lanes/4 <u8 FULL_B s=2 k=2 n=8 0:256"
+    _write_sidecar(sidecar, "gapdeck-lanes/3 FULL_B s=2 k=2 n=8 0:256", lane)
+    npz = sidecar.with_suffix(".npz")
+    npz.write_bytes(b"PK\x03\x04 a format-3 sidecar")
+    opened = []
+    load = search._load_sidecar
+    monkeypatch.setattr(search, "_load_sidecar",
+                        lambda path, *args: opened.append(path) or load(path, *args))
     caplog.set_level("INFO", logger="gapdeck.search")
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
     assert "unusable" in caplog.text
-    with np.load(sidecar) as data:
-        assert str(data["key"]).startswith("gapdeck-lanes/3 ")
-        assert sorted(data.files) == ["h", "key"]
+    assert _loaded_and_computed(caplog) == [(1, 0)]
+    assert sidecar.read_bytes() == data
     caplog.clear()
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
     assert _loaded_and_computed(caplog) == [(0, 1)]
     assert "unusable" not in caplog.text
+    assert opened == [str(sidecar)] * 2
+    assert npz.read_bytes() == b"PK\x03\x04 a format-3 sidecar"
 
 
 def test_hash_groups_are_runs_of_equal_lanes():
@@ -835,25 +863,23 @@ def test_bit_reversal_index():
             assert np.shares_memory(rev, search._bit_reversal(search._LEAF_BITS))
 
 
-def test_sidecar_is_an_npz_whose_lane_has_a_1_0_header(tmp_path):
+def test_sidecar_is_a_header_line_then_the_raw_lane(tmp_path):
     h = _lane_hashes(12, 2, 3, FULL_B, 0, 1 << 12)
     sidecar, key = search._sidecar(str(tmp_path), 12, GapParams(2, 3), FULL_B, 0, 1 << 12)
+    assert sidecar.endswith("FULL_B_s2_k3_n12_0_4096.lanes")
+    assert key == "gapdeck-lanes/4 <u8 FULL_B s=2 k=3 n=12 0:4096"
     search._save_sidecar(sidecar, key, h)
     out = np.zeros_like(h)
     assert search._load_sidecar(sidecar, key, out)
     assert out.tolist() == h.tolist()
-    with np.load(sidecar) as data:
-        assert sorted(data.files) == ["h", "key"]
-        assert str(data["key"]) == key
-        assert data["h"].dtype == h.dtype and data["h"].tolist() == h.tolist()
-    with zipfile.ZipFile(sidecar) as zf, zf.open("h.npy") as fh:
-        assert np.lib.format.read_magic(fh) == (1, 0)
-    # a sidecar that np.savez wrote, as earlier builds did, still loads
-    with open(sidecar, "wb") as fh:
-        np.savez(fh, key=np.array(key), h=h)
-    out[:] = 0
-    assert search._load_sidecar(sidecar, key, out)
-    assert out.tolist() == h.tolist()
+    # one line, the key and the lane's CRC-32 in 8 hex digits, then the lane
+    # at a fixed offset to the end of the file
+    lane = h.astype("<u8").tobytes()
+    with open(sidecar, "rb") as fh:
+        assert fh.read() == f"{key} {zlib.crc32(lane):08x}\n".encode() + lane
+    stored = np.fromfile(sidecar, dtype="<u8", offset=len(key) + 10)
+    assert stored.tolist() == h.tolist()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [os.path.basename(sidecar)]
 
 
 def _loaded_and_computed(caplog):
@@ -877,8 +903,8 @@ def test_search_SU_checkpoint_resume(tmp_path, caplog):
     assert _loaded_and_computed(caplog) == [(0, 1)] * 12
     # a (3, 2) sidecar copied over the (4, 3) one of the same length is
     # rejected by its range key and recomputed
-    (mine,) = tmp_path.glob("WILDCARD_U_k14_k23_n7_*.npz")
-    (foreign,) = tmp_path.glob("WILDCARD_U_k13_k22_n7_*.npz")
+    (mine,) = tmp_path.glob("WILDCARD_U_k14_k23_n7_*.lanes")
+    (foreign,) = tmp_path.glob("WILDCARD_U_k13_k22_n7_*.lanes")
     mine.write_bytes(foreign.read_bytes())
     caplog.clear()
     assert search_SU(4, 3, checkpoint=ckpt).to_record() == fresh
