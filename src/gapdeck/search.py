@@ -95,7 +95,7 @@ _HASH_SEED = 0x5DEC0DE5
 _RANGE_BITS = 20  # fixed checkpoint/partition granularity: 2^20 codes
 _LEAF_BITS = 16  # a leaf chunk holds at most 2^16 codes
 _LEAF_CELLS = 1 << 21  # and at most 2^21 uint64 cells (codes x the 2^k - 1 grown columns)
-_SIDECAR_FORMAT = "gapdeck-lanes/4"  # formats 1-3 were .npz files: 1 held no range key, 2 two lanes
+_SIDECAR_FORMAT = "gapdeck-lanes/4"  # formats 1-3 were .npz sidecars, which are never opened
 # _extend's tables for level m's lane step: its two lanes take the letter-0
 # update's two from rows 0:2 of the stacked updates, the letter-1 update's from 2:4
 _LANE_HALVES = [(slice(None), slice(0, 2)), (slice(None), slice(2, 4))]

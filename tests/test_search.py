@@ -2,7 +2,6 @@ import functools
 import hashlib
 import itertools
 import json
-import os
 import random
 import re
 import time
@@ -379,9 +378,8 @@ def test_checkpoint_rejects_damaged_sidecar(tmp_path, caplog, damage):
     elif damage == "flipped byte":  # one byte in the middle of the lane: only the CRC-32 sees it
         mid = len(data) - len(lane) // 2
         sidecar.write_bytes(data[:mid] + bytes([data[mid] ^ 0xFF]) + data[mid + 1 :])
-    elif damage == "flipped crc digit":
-        flipped = "0123456789abcdef"[("0123456789abcdef".index(crc[3]) + 1) % 16]
-        sidecar.write_bytes(f"{key} {crc[:3]}{flipped}{crc[4:]}\n".encode() + lane)
+    elif damage == "flipped crc digit":  # one bit of the fourth hex digit
+        sidecar.write_bytes(f"{key} {int(crc, 16) ^ 0x1000:08x}\n".encode() + lane)
     else:  # the same lanes stored big-endian, under a key and CRC-32 of their own
         assert " <u8 " in key
         swapped = np.frombuffer(lane, dtype="<u8").astype(">u8").tobytes()
@@ -866,7 +864,6 @@ def test_bit_reversal_index():
 def test_sidecar_is_a_header_line_then_the_raw_lane(tmp_path):
     h = _lane_hashes(12, 2, 3, FULL_B, 0, 1 << 12)
     sidecar, key = search._sidecar(str(tmp_path), 12, GapParams(2, 3), FULL_B, 0, 1 << 12)
-    assert sidecar.endswith("FULL_B_s2_k3_n12_0_4096.lanes")
     assert key == "gapdeck-lanes/4 <u8 FULL_B s=2 k=3 n=12 0:4096"
     search._save_sidecar(sidecar, key, h)
     out = np.zeros_like(h)
@@ -874,12 +871,12 @@ def test_sidecar_is_a_header_line_then_the_raw_lane(tmp_path):
     assert out.tolist() == h.tolist()
     # one line, the key and the lane's CRC-32 in 8 hex digits, then the lane
     # at a fixed offset to the end of the file
+    (path,) = tmp_path.iterdir()  # no temp file left
+    assert path.name == "FULL_B_s2_k3_n12_0_4096.lanes"
     lane = h.astype("<u8").tobytes()
-    with open(sidecar, "rb") as fh:
-        assert fh.read() == f"{key} {zlib.crc32(lane):08x}\n".encode() + lane
+    assert path.read_bytes() == f"{key} {zlib.crc32(lane):08x}\n".encode() + lane
     stored = np.fromfile(sidecar, dtype="<u8", offset=len(key) + 10)
     assert stored.tolist() == h.tolist()
-    assert sorted(p.name for p in tmp_path.iterdir()) == [os.path.basename(sidecar)]
 
 
 def _loaded_and_computed(caplog):
