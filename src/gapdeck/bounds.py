@@ -86,7 +86,7 @@ MINIMA = (
     Minimum("G", (2, 3), 13, ("0001010000100", "0010000101000")),
     Minimum("G", (2, 4), 24, ("001011001100101010110011", "001100101010110011001011")),
     Minimum("G", (3, 3), 17, ("01000101001010101", "01001000011100101")),
-    Minimum("G", (3, 4), 28, None, exact=False),
+    Minimum("G", (3, 4), 29, None, exact=False),
     Minimum("Gstar", (2, 1), 4, ("0010", "0100")),
     Minimum("Gstar", (2, 2), 8, ("00011010", "00100110")),
     Minimum("Gstar", (2, 3), 15, ("000010100001000", "000100001010000")),

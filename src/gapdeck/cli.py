@@ -432,7 +432,7 @@ def main(argv=None) -> int:
             format="%(levelname)s %(name)s: %(message)s",
         )
         return args.func(args)
-    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError, RuntimeError) as exc:
         # a float power's OverflowError carries (errno, strerror): print the strerror
         errno_style = isinstance(exc, OverflowError) and len(exc.args) == 2
         print(f"error: {exc.args[1] if errno_style else str(exc) or type(exc).__name__}",

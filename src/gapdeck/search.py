@@ -8,7 +8,8 @@ the counts, so equal decks always share a group, and a lane coincidence costs
 one extra confirmation, never a wrong or missed witness. The confirmed witness
 returned is always the lexicographically smallest pair, independent of worker
 count: worker threads hash fixed contiguous code ranges straight into their
-place in one full lane array, and the tie-break happens after a global sort.
+place in one full lane array, and the tie-break happens once every group is
+known.
 
 search_G / search_G_star / search_exact_D scan lengths upward and stop at
 the first collision. Lengths too short to carry any depth-k slice (below
@@ -47,12 +48,19 @@ goes on each of them. Its hash groups are confirmed by count_wildcard, the
 independent reference, and its ranges, checkpoints, workers and telemetry
 are those of the deck searches, keyed by (k1, k2) instead of (s, k).
 
-Hash groups: tied lanes are read off one sort of the lane (below a search's
-minimum there are none), and one pass over the lane finds their positions. A
-resume reads the checkpoint sidecars alone, each lane straight into its
-place in the search's lane array. A sidecar is one header line, its range
-key (format version, lane dtype, deck kind, params, n, lo:hi) and the lane's
-CRC-32, then the raw lane, so a foreign, older or damaged one is recomputed.
+Hash groups: the lane array is the only full-size array. Each range's lane is
+sorted in place, in the thread that hashed or loaded it (after its sidecar is
+written from the code-order lane). With one range the tied lanes are adjacent
+in its run; with R ranges the lanes are split into R buckets at their top
+bits, and each bucket, its slices of every run concatenated, is sorted on its
+own, one per thread (below a search's minimum there are no ties). Only the
+ranges whose run holds a tied lane are read again in code order, from their
+sidecar or by hashing, and each tied lane must turn up there as often as the
+runs held it, or the search raises. A resume reads the checkpoint sidecars
+alone, each lane straight into its place in the search's lane array. A
+sidecar is one header line, its range key (format version, lane dtype, deck
+kind, params, n, lo:hi) and the lane's CRC-32, then the raw lane in code
+order, so a foreign, older or damaged one is recomputed.
 search.log is an append-only progress record.
 """
 from __future__ import annotations
@@ -352,29 +360,89 @@ def _save_sidecar(sidecar: str, key: str, h: np.ndarray) -> None:
     os.replace(tmp, sidecar)
 
 
-def _hash_groups(h: np.ndarray) -> list:
-    """Positions sharing a lane, as groups of two or more.
+def _members(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The mask of x's entries that occur in the ascending, nonempty `table`."""
+    at = np.searchsorted(table, x)
+    return table[np.minimum(at, len(table) - 1)] == x
 
-    Each group is sorted and the groups are ordered by their first position.
-    One sort of h shows the tied lanes (below a search's minimum there are
-    none), one np.isin pass over h finds their positions, and only those few
-    positions are split into runs of equal lanes.
+
+def _repeats(run: np.ndarray) -> np.ndarray:
+    """The entries of an ascending array equal to the entry before them."""
+    return run[1:][run[1:] == run[:-1]]
+
+
+def _tied_lanes(h: np.ndarray, ranges, run=map) -> np.ndarray:
+    """The lanes that two or more codes share, ascending, each as often as
+    the codes after the first that share it, from the sorted runs h[lo:hi]
+    of the ranges.
+
+    With one range the ties are adjacent in its run. With R ranges the lanes
+    are split into R buckets at equal steps of 2^64 / R (the top bits), each
+    run's slice of a bucket found by np.searchsorted; a bucket is the
+    concatenation of its slices, sorted, and its ties are adjacent. `run`
+    maps the buckets, so a thread pool holds one bucket per thread.
     """
-    s = np.sort(h)
-    tied = s[1:][s[1:] == s[:-1]]
-    del s  # free the sorted copy before the membership pass
-    if not len(tied):
-        return []
-    # each value once: np.isin makes one pass over h per value, or sorts h
-    # itself once the values are many
-    tied = tied[np.concatenate(([True], tied[1:] != tied[:-1]))]
-    pos = np.flatnonzero(np.isin(h, tied))
-    lanes = h[pos]
-    order = np.argsort(lanes, kind="stable")  # positions stay ascending in each run
+    if len(ranges) == 1:
+        return _repeats(h[ranges[0][0] : ranges[0][1]])
+    edges = np.array([(j << 64) // len(ranges) for j in range(1, len(ranges))], dtype=np.uint64)
+    cuts = [np.concatenate(([lo], lo + np.searchsorted(h[lo:hi], edges), [hi]))
+            for lo, hi in ranges]
+
+    def bucket_repeats(j):
+        bucket = np.concatenate([h[cut[j] : cut[j + 1]] for cut in cuts])
+        bucket.sort()
+        return _repeats(bucket)
+
+    return np.concatenate(list(run(bucket_repeats, range(len(ranges)))))
+
+
+def _tied_groups(h: np.ndarray, ranges, restore, run=map) -> tuple:
+    """(groups, ranges re-read): the positions sharing a lane, as groups of two
+    or more, each sorted, ordered by first position, from the sorted runs
+    h[lo:hi] of the ranges.
+
+    _tied_lanes reads the tied values off the runs. Only the ranges whose run
+    holds one take part: restore(lo, hi) puts each one's code-order lane back
+    into its slice, and a membership test against the tied values (their top
+    bits, then np.searchsorted) finds its positions. Each tied value must
+    turn up as often as the runs held it; anything else means a lane changed
+    between the two reads, and raises RuntimeError rather than become a
+    verdict.
+    """
+    repeats = _tied_lanes(h, ranges, run)
+    if not len(repeats):
+        return [], 0
+    values, counts = np.unique(repeats, return_counts=True)
+    counts += 1
+    tied = [(lo, hi) for lo, hi in ranges if _members(h[lo:hi], values).any()]
+    # one flag per code of a range, set at the tied lanes' top bits: a lane
+    # whose flag is clear is not tied, so few lanes reach the binary search
+    bits = (ranges[0][1] - ranges[0][0]).bit_length() - 1
+    top = np.uint64(64 - bits)
+    candidate = np.zeros(1 << bits, dtype=bool)
+    candidate[values >> top] = True
+
+    def positions(task):
+        lo, hi = task
+        restore(lo, hi)
+        lane = h[lo:hi]
+        at = np.flatnonzero(np.take(candidate, (lane >> top).view(np.int64)))  # below 2^bits
+        at = at[_members(values, lane[at])]
+        return at + lo, lane[at]
+
+    pos, lanes = (np.concatenate(a) for a in zip(*run(positions, tied)))
+    order = np.argsort(lanes, kind="stable")  # positions stay ascending in each group
     pos, lanes = pos[order], lanes[order]
-    groups = np.split(pos, np.flatnonzero(lanes[1:] != lanes[:-1]) + 1)
+    found, sizes = np.unique(lanes, return_counts=True)
+    if not (np.array_equal(found, values) and np.array_equal(sizes, counts)):
+        raise RuntimeError(
+            f"the sorted lanes held {counts.sum()} codes of {len(values)} tied values, but the "
+            f"code-order lanes of {len(tied)} ranges hold {len(pos)} of {len(found)}: "
+            f"a lane changed between the two reads"
+        )
+    groups = np.split(pos, np.cumsum(sizes)[:-1])
     groups.sort(key=lambda g: int(g[0]))
-    return groups
+    return groups, len(tied)
 
 
 def _guard_params(params, deck_kind: str, workers: int) -> tuple:
@@ -418,10 +486,18 @@ def find_collision(
     its range recomputed into the same place.
     search.log there is an append-only progress record of the ranges
     computed, which a resume does not read.
+    Each range is sorted in place once hashed or loaded; the tied lanes are
+    read off those runs (split into one bucket per range at their top bits
+    when there are several), and the ranges that hold one are read again in
+    code order, from their sidecar if usable or by hashing, to find the
+    positions. A tied lane found there fewer or more times than the runs held
+    it raises RuntimeError: a lane changed between the reads, and no verdict
+    is given.
     One INFO line reports the strings hashed, the ranges computed and loaded,
     the hash-coincident groups, the hash false positives (groups that split
-    under exact confirmation) and the seconds spent hashing, sorting and
-    confirming.
+    under exact confirmation), the seconds spent hashing (loading, hashing
+    and sorting each range), sorting (the bucket and position passes) and
+    confirming, and the ranges re-read for positions.
     """
     params = _guard_params(params, deck_kind, workers)
     if n < 1:
@@ -429,35 +505,51 @@ def find_collision(
     if deck_kind == EQ7_STAR and n < 2:
         raise ValueError("EQ7_STAR needs n >= 2 (both-sides puncture)")
     total = 1 << n
-    if 8 * total > deck._PHYSICAL_BYTES:  # before 2^n / 2^20 ranges are listed
+    # the lane array is the search's one full-size array (the grouping sorts
+    # it in place, one range or bucket per thread); refuse it before 2^n /
+    # 2^20 ranges are listed
+    if 8 * total > deck._PHYSICAL_BYTES:
         raise MemoryError(
             f"n={n} needs 8 * 2^{n} bytes of hash lanes, "
             f"more than the {deck._PHYSICAL_BYTES} bytes of physical memory"
         )
     step = 1 << _RANGE_BITS
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    h = np.empty(total, dtype=np.uint64)
+    h = np.empty(total, dtype=np.uint64)  # the search's one lane array, in sorted runs once hashed
+
+    def load(lo, hi):  # the range's code-order lane from its sidecar, if usable
+        if checkpoint is None:
+            return False
+        sidecar, key = _sidecar(checkpoint, n, params, deck_kind, lo, hi)
+        if _load_sidecar(sidecar, key, h[lo:hi]):
+            return True
+        if os.path.exists(sidecar):
+            log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
+        return False
 
     t_hash = time.perf_counter()
     pending = []
     for lo, hi in ranges:
-        if checkpoint is not None:
-            sidecar, key = _sidecar(checkpoint, n, params, deck_kind, lo, hi)
-            if _load_sidecar(sidecar, key, h[lo:hi]):
-                continue
-            if os.path.exists(sidecar):
-                log.warning("checkpoint sidecar %s is unusable; recomputing %d:%d", sidecar, lo, hi)
-        pending.append((lo, hi))
+        if load(lo, hi):
+            h[lo:hi].sort()
+        else:
+            pending.append((lo, hi))
     t_pace = time.perf_counter()  # the ETA's pace is of hashing alone, not of loading
 
-    def hash_range(task):
+    def hash_range(task):  # the sidecar is written from the code-order lane, then it is sorted
         lo, hi = task
         _lane_hashes(n, *params, deck_kind, lo, hi, h[lo:hi])
-        return task
-
-    def store(i, lo, hi):
         if checkpoint is not None:
             _save_sidecar(*_sidecar(checkpoint, n, params, deck_kind, lo, hi), h[lo:hi])
+        h[lo:hi].sort()
+        return task
+
+    def restore(lo, hi):
+        if not load(lo, hi):
+            _lane_hashes(n, *params, deck_kind, lo, hi, h[lo:hi])
+
+    def record(i, lo, hi):  # in search.log, and as progress
+        if checkpoint is not None:
             with open(os.path.join(checkpoint, "search.log"), "a") as fh:
                 fh.write(f"{deck_kind} {' '.join(map(str, params))} {n} {lo}:{hi} done\n")
         if len(ranges) >= 2:  # progress, with an ETA at the pace so far
@@ -468,17 +560,17 @@ def find_collision(
 
     if checkpoint is not None:
         os.makedirs(checkpoint, exist_ok=True)
-    threads = min(workers, len(pending))
+    threads = min(workers, len(ranges))
     pool = concurrent.futures.ThreadPoolExecutor(threads) if threads > 1 else None
-    try:  # the ranges come back in order, and the pool hashes on while this thread stores
-        for i, task in enumerate((pool.map if pool else map)(hash_range, pending), 1):
-            store(i, *task)
+    run = pool.map if pool else map
+    try:  # the ranges come back in order, and the pool hashes on while this thread logs them
+        for i, task in enumerate(run(hash_range, pending), 1):
+            record(i, *task)
+        t_sort = time.perf_counter()
+        groups, reread = _tied_groups(h, ranges, restore, run)
     finally:
         if pool is not None:  # an error cancels the ranges not yet started
             pool.shutdown(cancel_futures=True)
-
-    t_sort = time.perf_counter()
-    groups = _hash_groups(h)
 
     t_confirm = time.perf_counter()
     best = None
@@ -503,10 +595,10 @@ def find_collision(
     log.info(
         "n=%d %s %s: %d strings hashed, ranges %d computed / %d loaded, "
         "%d hash-coincident groups (%d confirmed, %d hash false positives); "
-        "hash %.3f s, sort %.3f s, confirm %.3f s",
+        "hash %.3f s, sort %.3f s, confirm %.3f s; %d ranges re-read for positions",
         n, deck_kind, " ".join(_tags(params, deck_kind)), sum(hi - lo for lo, hi in pending),
         len(pending), len(ranges) - len(pending), len(groups), confirmed, split,
-        t_sort - t_hash, t_confirm - t_sort, t_end - t_confirm,
+        t_sort - t_hash, t_confirm - t_sort, t_end - t_confirm, reread,
     )
     if best is None:
         return None

@@ -195,6 +195,33 @@ def test_failing_range_cancels_the_rest_and_exits_two(capsys, monkeypatch):
     assert 256 in hashed and len(hashed) < 64
 
 
+def test_lane_changing_before_the_position_pass_exits_two(capsys, monkeypatch):
+    # ranges of 2^4 codes; each range hashed a second time, to read back the
+    # positions of its tied lanes, gets other lanes: the search finds fewer
+    # tied lanes than its sorted runs held, and stops with exit 2 and no
+    # verdict on stdout instead of reporting a wrong or missing collision
+    monkeypatch.setattr(search, "_RANGE_BITS", 4)
+    real = search._lane_hashes
+    hashed = set()
+
+    def drifting(n, a, b, deck_kind, lo, hi, out=None):
+        h = real(n, a, b, deck_kind, lo, hi, out)
+        if (n, lo) in hashed:
+            h ^= h.dtype.type(1)
+        hashed.add((n, lo))
+        return h
+
+    monkeypatch.setattr(search, "_lane_hashes", drifting)
+    code = main(["search", "G", "--s", "2", "--k", "2", "--n-max", "8", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: the sorted lanes held \d+ codes of 3 tied values, but the "
+                        r"code-order lanes of \d+ ranges hold 0 of 0: a lane changed between "
+                        r"the two reads\n", captured.err)
+    assert max(n for n, _ in hashed) == 6  # the first length with a collision
+
+
 def test_search_G_json_envelope_bytes(capsys):
     code, out = run(capsys, "search", "G", "--s", "2", "--k", "2", "--n-max", "8", "--json")
     assert code == 0

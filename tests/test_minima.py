@@ -3,8 +3,8 @@
 Every witness holds under an independent reference. Every exact entry is
 rescanned by the command that certifies it (the three long scans under
 `-m slow` only), except SU(6,4), which follows from SU(6,3). Lower bounds
-are not rescanned: G_3(4) at n = 28 needs about 4.4 GB, and so does SU(7,4)
-at m = 28. README's "Computed minima" table is the ledger's rows.
+are not rescanned: G_3(4) at n = 29 needs about 4.2 GB, and SU(7,4) at
+m = 28 about 4.4 GB. README's "Computed minima" table is the ledger's rows.
 """
 import json
 import pathlib

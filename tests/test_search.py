@@ -1,3 +1,5 @@
+import collections
+import concurrent.futures
 import functools
 import hashlib
 import itertools
@@ -34,9 +36,10 @@ from gapdeck.search import (
     WILDCARD_U,
     CollisionReport,
     _extend,
-    _hash_groups,
     _hash_lanes,
     _lane_hashes,
+    _tied_groups,
+    _tied_lanes,
     _tree_hashes,
     find_collision,
     search_G,
@@ -264,32 +267,42 @@ _MULTI_RANGE = [
 @pytest.mark.parametrize("fn, args", _MULTI_RANGE, ids=[FULL_B, EQ7_STAR, WILDCARD_U])
 def test_parallel_ranges_give_the_one_process_search(monkeypatch, tmp_path, caplog, fn, args):
     # ranges of 2^8 codes, so threads hash many at once at the last lengths:
-    # the same lanes, witness and record bytes from 1, 2 and 3 workers
+    # the same code-order lanes, witness and record bytes from 1, 2 and 3
+    # workers, and the sidecars hold those lanes
     monkeypatch.setattr(search, "_RANGE_BITS", 8)
-    lanes = []
-    real = search._hash_groups
+    lanes = {}
+    real = search._lane_hashes
 
-    def spy(h):
-        lanes.append(h.copy())
-        return real(h)
+    def spy(n, a, b, deck_kind, lo, hi, out=None):
+        h = real(n, a, b, deck_kind, lo, hi, out)
+        lanes[n, lo, hi] = h.tobytes()  # before the search sorts it
+        return h
 
-    monkeypatch.setattr(search, "_hash_groups", spy)
+    monkeypatch.setattr(search, "_lane_hashes", spy)
     runs = {}
     for workers in (1, 2, 3):
         lanes.clear()
         rec = fn(*args, workers=workers).to_record()
-        runs[workers] = json.dumps(rec, sort_keys=True), rec["witnesses"], list(lanes)
-    assert len(runs[1][2][-1]) >> 8 >= 16
+        runs[workers] = json.dumps(rec, sort_keys=True), rec["witnesses"], dict(lanes)
+    last = max(runs[1][2])[0]
+    assert sum(n == last for n, *_ in runs[1][2]) >= 16
     for workers in (2, 3):
-        assert runs[workers][:2] == runs[1][:2]
-        assert len(runs[workers][2]) == len(runs[1][2])
-        assert all(np.array_equal(a, b) for a, b in zip(runs[workers][2], runs[1][2]))
-    # a checkpoint written by 3 workers resumes with every range loaded
+        assert runs[workers] == runs[1]
+    # a checkpoint written by 3 workers holds those lanes, and resumes with
+    # every range loaded
     ckpt = str(tmp_path)
     assert json.dumps(fn(*args, workers=3, checkpoint=ckpt).to_record(), sort_keys=True) == runs[1][0]
+    sidecars = {p.name: _split_sidecar(p)[2] for p in tmp_path.glob("*.lanes")}
+    assert len(sidecars) == len(runs[1][2])
+    for (n, lo, hi), lane in runs[1][2].items():
+        (name,) = (name for name in sidecars if name.endswith(f"_n{n}_{lo}_{hi}.lanes"))
+        assert sidecars[name] == lane
     caplog.set_level("INFO", logger="gapdeck.search")
+    lanes.clear()
     assert json.dumps(fn(*args, workers=3, checkpoint=ckpt).to_record(), sort_keys=True) == runs[1][0]
-    want = [(0, max(1, len(h) >> 8)) for h in runs[1][2]]
+    assert lanes == {}  # ranges re-read for positions come from their sidecars too
+    lengths = sorted({n for n, *_ in runs[1][2]})
+    want = [(0, sum(n == m for n, *_ in runs[1][2])) for m in lengths]
     assert _loaded_and_computed(caplog) == want
 
 
@@ -404,7 +417,8 @@ def test_sidecar_failing_after_a_partial_read_is_recomputed_in_place(tmp_path, c
     # a resume reads each lane straight into the search's lane array; a
     # flipped byte is written there before the CRC-32, checked once the whole
     # lane is in place, rejects the sidecar, so the range must be recomputed
-    # over it or the witness's lane stays wrong
+    # over it or the witness's lane stays wrong; the position pass then reads
+    # the rewritten sidecar back
     ckpt = str(tmp_path)
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
@@ -414,18 +428,19 @@ def test_sidecar_failing_after_a_partial_read_is_recomputed_in_place(tmp_path, c
     at = len(data) - len(lane) + 8 * 0b00001101  # a byte of the first witness's lane
     damaged = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
     sidecar.write_bytes(damaged)
-    loaded = {}
+    loaded = []
     load = search._load_sidecar
 
     def recorded(path, key, out):
         ok = load(path, key, out)
-        loaded["lane"] = out.tobytes()
+        loaded.append((ok, out.tobytes()))
         return ok
 
     monkeypatch.setattr(search, "_load_sidecar", recorded)
     caplog.set_level("INFO", logger="gapdeck.search")
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=ckpt) == expected
-    assert loaded["lane"] == damaged[-len(lane) :]  # the whole damaged lane was read into place
+    # the whole damaged lane was read into place, then the rewritten one
+    assert loaded == [(False, damaged[-len(lane) :]), (True, lane)]
     assert "unusable" in caplog.text
     assert _loaded_and_computed(caplog) == [(1, 0)]
     assert sidecar.read_bytes() == data
@@ -452,7 +467,9 @@ def test_checkpoint_rejects_foreign_sidecar(tmp_path, caplog):
 
 def test_checkpoint_recomputes_an_old_format_sidecar(tmp_path, caplog, monkeypatch):
     # a sidecar whose key names format 3 is recomputed once and rewritten in
-    # the current format; a format-3 .npz left beside it is never opened
+    # the current format; a format-3 .npz left beside it is never opened. The
+    # range holds the witness, so each search opens its sidecar twice: to
+    # load it, and to read its positions back
     expected = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
     (sidecar,) = tmp_path.glob("*.lanes")
@@ -475,32 +492,99 @@ def test_checkpoint_recomputes_an_old_format_sidecar(tmp_path, caplog, monkeypat
     assert find_collision(8, GapParams(2, 2), FULL_B, checkpoint=str(tmp_path)) == expected
     assert _loaded_and_computed(caplog) == [(0, 1)]
     assert "unusable" not in caplog.text
-    assert opened == [str(sidecar)] * 2
+    assert opened == [str(sidecar)] * 4
     assert npz.read_bytes() == b"PK\x03\x04 a format-3 sidecar"
 
 
-def test_hash_groups_are_runs_of_equal_lanes():
+def _grouped(h, size):
+    """_tied_groups of h cut into ranges of `size` lanes, each sorted in place
+    as the search leaves it, and restored from h: (groups as lists, ranges
+    re-read, the ranges restored)."""
+    ranges = [(lo, min(lo + size, len(h))) for lo in range(0, len(h), size)] or [(0, 0)]
+    runs = h.copy()
+    for lo, hi in ranges:
+        runs[lo:hi].sort()
+    restored = []
+
+    def restore(lo, hi):
+        restored.append((lo, hi))
+        runs[lo:hi] = h[lo:hi]
+
+    groups, reread = _tied_groups(runs, ranges, restore)
+    return [g.tolist() for g in groups], reread, restored
+
+
+def test_tied_groups_are_runs_of_equal_lanes():
     h = np.array([7, 3, 7, 5, 3, 7, 9, 3], dtype=np.uint64)
     # the 7s and the 3s are three-way groups, each sorted and ordered by its
-    # first position; 5 and 9 stay alone
-    groups = _hash_groups(h)
-    assert [g.tolist() for g in groups] == [[0, 2, 5], [1, 4, 7]]
-    assert _hash_groups(np.arange(5, dtype=np.uint64)) == []
+    # first position; 5 and 9 stay alone, in one range or across several
+    for size in (8, 4, 2, 1):
+        assert _grouped(h, size)[:2] == ([[0, 2, 5], [1, 4, 7]], min(8 // size, 6))
+    assert _grouped(np.arange(5, dtype=np.uint64), 2) == ([], 0, [])
     top = 2**64 - 1
     for lanes in ([], [9], [9, 8], [9, 9], [4] * 7, [top, 0, top, 1, 0, top], [0, top]):
         h = np.array(lanes, dtype=np.uint64)
-        assert [g.tolist() for g in _hash_groups(h)] == _dict_groups(h), lanes
-    # hundreds of tied values, the extremes among them: np.isin takes its sort
-    # method (the inputs above take its table and per-value methods)
+        for size in (1, 2, 4, 8):
+            assert _grouped(h, size)[0] == _dict_groups(h), (lanes, size)
+    # hundreds of tied values, the extremes among them, over 1 to 64 ranges:
+    # only the ranges whose run holds a tied value are restored, each once
     rng = np.random.default_rng(2024)
     pool = np.concatenate([np.array([0, top], dtype=np.uint64),
                            rng.integers(1, top, size=20000, dtype=np.uint64)])
-    h = rng.choice(pool, size=4000)
+    h = rng.choice(pool, size=4096)
     assert h.dtype == np.uint64
     h[[5, 50, 500]], h[[6, 60]] = 0, top
     expected = _dict_groups(h)
     assert len(expected) > 300
-    assert [g.tolist() for g in _hash_groups(h)] == expected
+    for size in (4096, 512, 64):
+        groups, reread, restored = _grouped(h, size)
+        assert groups == expected
+        holding = sorted({(p - p % size, p - p % size + size) for g in expected for p in g})
+        assert restored == holding and reread == len(holding)
+    # few ties: only their ranges are read again
+    h = rng.integers(0, top, size=4096, dtype=np.uint64)
+    h[3000] = h[100]
+    assert _grouped(h, 256) == ([[100, 3000]], 2, [(0, 256), (2816, 3072)])
+
+
+def test_tied_lanes_split_buckets_at_the_top_bits():
+    # four ranges, four buckets split at multiples of 2^62: the values at
+    # each edge and one below it, the extremes, and a value tied in three
+    # ranges, each once for every code after the first that shares it
+    e1, e2, e3 = edges = [j << 62 for j in range(1, 4)]
+    top = 2**64 - 1
+    h = np.array([e1, 0, top, 7, e2 - 1, e3,
+                  0, e1 - 1, e2, 8, top, e3 - 1,
+                  e2 - 1, e1, 0, 9, e1 - 1, e3,
+                  e3 - 1, top, e2, 0, 10, 11], dtype=np.uint64)
+    ranges = [(lo, lo + 6) for lo in range(0, 24, 6)]
+    runs = h.copy()
+    for lo, hi in ranges:
+        runs[lo:hi].sort()
+    repeats = _tied_lanes(runs, ranges).tolist()
+    want = sorted(v for v, c in collections.Counter(h.tolist()).items() for _ in range(c - 1))
+    assert repeats == want
+    assert want == sorted([0, 0, 0, top, top] + [v for e in edges for v in (e - 1, e)])
+    # a bucket sees the same ties from one thread or two
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        assert _tied_lanes(runs, ranges, pool.map).tolist() == repeats
+
+
+def test_tied_groups_raise_when_a_lane_changes_between_the_reads():
+    # a restored range that holds fewer (or more) codes of a tied value than
+    # its sorted run did must raise, never drop a group
+    h = np.array([5, 1, 9, 5, 2, 9, 3, 4], dtype=np.uint64)
+    for change in ({1: 9}, {0: 6}, {4: 5}):
+        runs = np.sort(h.reshape(2, 4), axis=1).reshape(-1)
+
+        def restore(lo, hi, change=change):
+            runs[lo:hi] = h[lo:hi]
+            for at, lane in change.items():
+                if lo <= at < hi:
+                    runs[at] = lane
+
+        with pytest.raises(RuntimeError, match="changed between the two reads"):
+            _tied_groups(runs, [(0, 4), (4, 8)], restore)
 
 
 def _dict_groups(h):
@@ -509,6 +593,116 @@ def _dict_groups(h):
     for i, lane in enumerate(h.tolist()):
         buckets.setdefault(lane, []).append(i)
     return sorted((g for g in buckets.values() if len(g) >= 2), key=lambda g: g[0])
+
+
+_N8 = (8, GapParams(2, 2), FULL_B)
+_N8_WITNESS = ((0, 0, 0, 0, 1, 1, 0, 1), (0, 0, 0, 1, 0, 0, 1, 1))
+
+
+def _designed_lanes(monkeypatch):
+    """Make find_collision(*_N8) hash 4 ranges of 64 codes to designed lanes;
+    return (lanes, the codes of the hash false positive).
+
+    Equal decks keep equal lanes, so the real witness stands. Six real groups
+    take the lanes 0, 2^64 - 1, the bucket edges 2^62 and 2^63 and one below
+    each; three codes with distinct decks, one in each of ranges 0, 1 and 2,
+    share the edge 3 * 2^62, a hash false positive tied in three ranges."""
+    real = _lane_hashes(8, 2, 2, FULL_B, 0, 256)
+    _, cls = np.unique(real, return_inverse=True)
+    sizes = np.bincount(cls)
+    lane = np.random.default_rng(8).integers(1, 2**64 - 1, size=len(sizes), dtype=np.uint64)
+    tied = np.flatnonzero(sizes >= 2)
+    lane[tied[:6]] = [0, 2**64 - 1, 1 << 62, (1 << 62) - 1, 1 << 63, (1 << 63) - 1]
+    alone = [next(c for c in range(lo, lo + 64) if sizes[cls[c]] == 1) for lo in (0, 64, 128)]
+    lane[cls[alone]] = 3 << 62
+    lanes = lane[cls]
+    assert _dict_groups(lanes) == sorted(_dict_groups(real) + [alone], key=lambda g: g[0])
+    assert alone[0] < 0b00001101  # the false positive is confirmed before the witness's group
+
+    def designed(n, a, b, deck_kind, lo, hi, out=None):
+        assert (n, a, b, deck_kind) == (8, 2, 2, FULL_B)
+        out[:] = lanes[lo:hi]
+        return out
+
+    monkeypatch.setattr(search, "_RANGE_BITS", 6)
+    monkeypatch.setattr(search, "_lane_hashes", designed)
+    return lanes, alone
+
+
+def _spy_groups(monkeypatch):
+    """Record every _tied_groups result of the searches that follow, as lists."""
+    seen = []
+    real = search._tied_groups
+
+    def spy(*args):
+        groups, reread = real(*args)
+        seen.append(([g.tolist() for g in groups], reread))
+        return groups, reread
+
+    monkeypatch.setattr(search, "_tied_groups", spy)
+    return seen
+
+
+def test_designed_lanes_group_across_ranges_as_in_one_range(monkeypatch, caplog):
+    # ties across ranges, lanes at a bucket edge and one below it, a value
+    # tied in three ranges and a hash false positive: the groups are the
+    # dictionary's, and the witness is the one-range search's
+    lanes, alone = _designed_lanes(monkeypatch)
+    assert any(len({p >> 6 for p in g}) >= 2 for g in _dict_groups(lanes) if g != alone)
+    seen = _spy_groups(monkeypatch)
+    caplog.set_level("INFO", logger="gapdeck.search")
+    for workers in (1, 2, 3):
+        assert find_collision(*_N8, workers=workers) == _N8_WITNESS
+    monkeypatch.setattr(search, "_RANGE_BITS", 20)  # one range: ties are adjacent in its run
+    assert find_collision(*_N8) == _N8_WITNESS
+    assert seen == [(_dict_groups(lanes), 4)] * 3 + [(_dict_groups(lanes), 1)]
+    summary = [r.getMessage() for r in caplog.records if "hash false positives" in r.getMessage()]
+    assert len(summary) == 4
+    assert all("1 hash false positives" in line for line in summary)
+    assert [line.rsplit("; ", 1)[1] for line in summary] == (
+        ["4 ranges re-read for positions"] * 3 + ["1 ranges re-read for positions"])
+
+
+def test_sidecars_hold_the_code_order_lane(monkeypatch, tmp_path):
+    # each range's sidecar is written before the range is sorted in place
+    lanes, _ = _designed_lanes(monkeypatch)
+    assert find_collision(*_N8, workers=2, checkpoint=str(tmp_path)) == _N8_WITNESS
+    for lo in range(0, 256, 64):
+        (sidecar,) = tmp_path.glob(f"FULL_B_s2_k2_n8_{lo}_{lo + 64}.lanes")
+        lane = np.frombuffer(_split_sidecar(sidecar)[2], dtype="<u8")
+        assert lane.tolist() == lanes[lo : lo + 64].tolist()
+        assert lane.tolist() != sorted(lane.tolist())
+
+
+def test_sidecar_failing_on_its_second_read_is_hashed_again(monkeypatch, tmp_path, caplog):
+    # a sidecar that loads for the sorted run but fails when its positions are
+    # read back leaves garbage in its slice; the range is hashed again over it
+    lanes, _ = _designed_lanes(monkeypatch)
+    ckpt = str(tmp_path)
+    assert find_collision(*_N8, checkpoint=ckpt) == _N8_WITNESS
+    reads = collections.Counter()
+    load = search._load_sidecar
+
+    def flaky(path, key, out):
+        reads[path] += 1
+        if reads[path] == 2 and path.endswith("_64_128.lanes"):
+            out[:] = 12345
+            return False
+        return load(path, key, out)
+
+    monkeypatch.setattr(search, "_load_sidecar", flaky)
+    hashed = []
+    designed = search._lane_hashes
+    monkeypatch.setattr(search, "_lane_hashes", lambda *args: hashed.append(args[4:6])
+                        or designed(*args))
+    seen = _spy_groups(monkeypatch)
+    caplog.set_level("INFO", logger="gapdeck.search")
+    assert find_collision(*_N8, workers=2, checkpoint=ckpt) == _N8_WITNESS
+    assert seen == [(_dict_groups(lanes), 4)]
+    assert hashed == [(64, 128)]
+    assert sorted(reads.values()) == [2] * 4
+    assert "_64_128.lanes is unusable; recomputing 64:128" in caplog.text
+    assert _loaded_and_computed(caplog) == [(0, 4)]
 
 
 def _reference_lanes(code, n, s, k, deck_kind):
