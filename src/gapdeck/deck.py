@@ -12,12 +12,17 @@ follow. When position i (letter c) is consumed, every column ending in c
 absorbs the count of its parent prefix as of position i-s, which enforces the
 gap. For the full binary deck the columns form a binary heap (pattern w sits
 at pattern_index(w) + 1, the children of column j are 2j+1 and 2j+2), so the
-update tables of _deck_tables are two strided slices and every update reads
-and writes views. The one other trie is count_gapped's single pattern w, a
-chain whose column j is w[:j]. _run_pass runs the recurrence over one
-string in a (rows, width) uint64 state: one row of exact counts, or one row
-per prime, reduced by a conditional subtract against the moduli tiled to the
-update's shape once per pass. It may start
+update tables of _deck_tables are two strided slices: the columns ending in c
+are 1+c, 3+c, ..., the children of the narrow columns 0 .. 2^k - 2 (the root
+and the patterns shorter than k), and only those are ever read back. The one
+other trie is count_gapped's single pattern w, a chain whose column j is
+w[:j]. _run_pass runs the recurrence over one string in (rows, width) uint64
+states: one row of exact counts, or one row per prime, reduced by a
+conditional subtract against the moduli tiled to the update's shape once per
+pass. It holds the state split by last letter, so each letter adds into one
+contiguous array in place and copies only the narrow columns into the ring
+of the states it reads back; the states it returns are put together in heap
+order over the last s+1 letters. It may start
 from a given ring of states that stacks several row blocks, all reading the
 same letters. A pass whose live states would not fit in physical memory is
 refused with MemoryError before it allocates. It returns its ring of the
@@ -36,6 +41,8 @@ the Chinese remainder of a count's residues is the count itself.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import os
 from collections import deque
@@ -105,7 +112,8 @@ def _deck_tables(k: int) -> list:
 
     The columns are the empty prefix, then the patterns in canonical order: a
     binary heap, in which the columns ending in letter c are 1+c, 3+c, ...
-    and their parents 0, 1, ..., 2^k - 2. Plain slices, so updates are views.
+    and their parents 0, 1, ..., 2^k - 2. Plain slices, so _run_pass's split
+    of a state by them (_heap_split) is one per width.
     """
     width = pattern_count(k) + 1
     return [(slice(1 + c, width, 2), slice(0, (1 << k) - 1)) for c in (0, 1)]
@@ -147,12 +155,45 @@ def _exact(res, mods) -> list:
     return [sum(c * r for c, r in zip(coef, col)) % m for col in zip(*res.tolist())]
 
 
+def _letter_split(tables, width: int, ndim: int) -> tuple:
+    """How _run_pass splits a trie's state by last letter, as index keys for
+    states of ndim dimensions: the key of the narrow columns, 0 up to the
+    last parent column (no column past them is ever read back), and per
+    letter (dst, src, put, head, size). dst and src are the table's columns
+    ending in the letter and their parents; the first dst columns are
+    narrow, and put and head are where those sit in a narrow state and in
+    the letter's own contiguous array of size columns. Each dst is
+    ascending, so the narrow ones come first; a slice dst gives a slice
+    put."""
+    def key(ix):
+        return ix if ndim == 1 else (slice(None), ix)
+
+    def columns(ix):  # a range for a slice, else a list
+        return range(width)[ix] if isinstance(ix, slice) else ix.tolist()
+
+    narrow = 1 + max(max(columns(src), default=0) for _, src in tables)
+    letters = []
+    for dst, src in tables:
+        cols = columns(dst)
+        cut = bisect.bisect_left(cols, narrow)
+        put = cols[:cut]
+        put = slice(put.start, put.stop, put.step) if isinstance(put, range) else dst[:cut]
+        letters.append((key(dst), key(src), key(put), key(slice(cut)), len(cols)))
+    return key(slice(narrow)), letters
+
+
+@functools.cache  # every pass at a width takes the same heap split
+def _heap_split(width: int, ndim: int) -> tuple:
+    """_letter_split of _deck_tables's heap of the given width, 2^(k+1) - 1."""
+    return _letter_split(_deck_tables(width.bit_length() - 1), width, ndim)
+
+
 def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     """The ring of the last s+1 states of one pass over x: the counts of
     every trie column after x[:len(x)-s], ..., x[:-1] and x (ring[-1]), with
     the root standing in for a prefix shorter than the empty one.
 
-    x holds letter indices into tables. The state is a (rows, width) uint64
+    x holds letter indices into tables. A state is a (rows, width) uint64
     array whose column 0 is the pinned empty prefix; the letter at position i
     adds the state as of position i-s, ring[1] when it is read.
     Without mods there is one row of exact counts (callers take mods from
@@ -162,13 +203,26 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     `ring`, if given, is the ring to start from instead of the root: s+1
     states of any stack of such row blocks (with mods, blocks of one row per
     modulus), every block reading the same letters; a pass's own ring
-    continues it. The moduli are tiled once per pass to the full shape of an
-    update, and a pass of one exact row from the root keeps a 1-D state, as
-    (1, width) slicing costs each numpy call more; its ring is returned as
-    (1, width) views all the same.
-    Up to min(len(x), s) + 1 ring states and two temporaries are live at once;
-    a pass whose states exceed physical memory raises MemoryError up front,
-    since a lazily granted allocation would get the process killed instead.
+    continues it.
+    The pass holds the state split by last letter (_letter_split; slice
+    tables are _deck_tables's heap, whose split is built once per width):
+    the columns ending in letter c are one contiguous array, taken from the
+    start state when c first occurs and then updated in place. Only the
+    narrow columns, the parents, are read back s letters later, so the ring
+    holds narrow snapshots: each letter copies the last one, in the buffer
+    of the one no longer read, and writes the narrow part of its columns into
+    it. The last s+1 letters append full heap-ordered states instead, the
+    ones returned: the first is assembled from the split state, each later
+    one is a copy of the one before with the letter's columns written.
+    The moduli are tiled once per pass to the shape of an update, and a pass
+    of one exact row from the root keeps 1-D arrays, as (1, width) slicing
+    costs each numpy call more; its ring is returned as (1, width) views all
+    the same.
+    Live at once are up to s+1 ring states, the split state and the tiled
+    moduli with their temporary (each at most one state's size), so at most
+    min(len(x), s) + 3 states; a pass whose states exceed physical memory
+    raises MemoryError up front, since a lazily granted allocation would get
+    the process killed instead.
     """
     rows = len(ring[-1]) if ring is not None else 1 if mods is None else len(mods)
     need = 8 * rows * width * (min(len(x), s) + 3)
@@ -177,24 +231,52 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
             f"a counting pass needs {need} bytes of state, "
             f"more than the {_PHYSICAL_BYTES} bytes of physical memory"
         )
+    # dtype and maxlen by position: as keywords they cost a short pass 0.5 us
     if ring is None:
-        root = np.zeros(width if mods is None else (rows, width), dtype=np.uint64)
+        root = np.zeros(width if mods is None else (rows, width), np.uint64)
         root[..., 0] = 1
         ring = [root] * (s + 1)
-    ring = deque(ring, maxlen=s + 1)  # states after i-s .. i letters
+    ring = deque(ring, s + 1)  # states after i-s .. i letters: narrow, then full
     acc = ring[-1]
-    if acc.ndim == 2:
-        tables = [((slice(None), dst), (slice(None), src)) for dst, src in tables]
-    lims = None if mods is None else [
-        np.tile(mods, (rows // len(mods), acc[dst].shape[1])) for dst, _ in tables
-    ]
-    for c in x:
-        dst, src = tables[c]
-        v = acc[dst] + ring[1][src]
-        acc = acc.copy()
-        acc[dst] = v if lims is None else np.minimum(v, v - lims[c])
-        ring.append(acc)
-    return ring if acc.ndim == 2 else deque((state[None] for state in ring), maxlen=s + 1)
+    if len(x):
+        narrow, letters = _heap_split(width, acc.ndim) if isinstance(tables[0][0], slice) \
+            else _letter_split(tables, width, acc.ndim)
+        if mods is not None:
+            tile = np.tile(mods, (rows // len(mods), max(t[-1] for t in letters)))
+            tmp = np.empty_like(tile)
+            lims = [(tile[:, :t[-1]], tmp[:, :t[-1]]) for t in letters]
+        split, heads = [None] * len(letters), [None] * len(letters)
+    tail = len(x) - s - 1  # the letter that appends the first state returned
+    for i, c in enumerate(x):
+        dst, src, put, head, _ = letters[c]
+        part = split[c]
+        if part is None:  # the letter's first: its columns from the start state
+            part = split[c] = acc[dst] + ring[1][src]
+            heads[c] = part[head] if i < tail else None
+        else:
+            part += ring[1][src]
+        if mods is not None:
+            lim, low = lims[c]
+            np.subtract(part, lim, out=low)
+            np.minimum(part, low, out=part)
+        if i < tail:
+            if i > s:  # ring[0] is a snapshot of this pass, no longer read
+                snap = ring[0]
+                snap[...] = ring[-1]
+            else:
+                snap = (ring[-1] if i else acc[narrow]).copy()
+            snap[put] = heads[c]
+            ring.append(snap)
+        else:
+            acc = acc.copy()
+            if i == tail and i:  # the split state, in heap order
+                for t, p in zip(letters, split):
+                    if p is not None:
+                        acc[t[0]] = p
+            else:
+                acc[dst] = part
+            ring.append(acc)
+    return ring if acc.ndim == 2 else [state[None] for state in ring]
 
 
 def _punctured_counts(x: tuple, s: int, k: int) -> tuple:

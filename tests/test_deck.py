@@ -351,6 +351,51 @@ def test_run_pass_continues_from_a_start_ring(x, s, k, n, data):
     assert [state.tolist() for state in _run_pass(x[j:], s, tables, width, mods, ring)] == whole
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=14).map(tuple), st.integers(1, 4),
+       st.integers(1, 5), st.booleans(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+@example((1, 0, 1, 1, 0, 1, 0, 0, 1), 2, 3, False, False, False, random.Random(0))
+@example((0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0), 1, 4, True, True, False, random.Random(0))
+@example((1, 1, 0, 1, 0, 0, 1, 1, 0, 1), 3, 5, True, False, True, random.Random(0))
+def test_every_ring_state_is_the_naive_count_of_its_prefix(x, s, k, toy, stacked, chain, rnd):
+    # every one of the s+1 states a pass returns, leaves included, against
+    # the oracle: ring[m] holds the counts after the first len(y) - s + m
+    # letters of the pass over y, the root standing in for fewer than none.
+    # On the deck's heap (depth k) or count_gapped's chain of a pattern w
+    # (length up to k), as one exact row or as the residues of the toy
+    # moduli, from the root (y = x) or from _punctured_counts's stacked start
+    # ring (y = x[1:], whose blocks run on x and on x[1:])
+    if chain:
+        w = tuple(rnd.getrandbits(1) for _ in range(rnd.randint(1, k)))
+        dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
+        tables, width = [(d, d - 1) for d in dst], len(w) + 1
+
+        def counts(prefix):
+            return [1] + [count_gapped_naive(w[:j], prefix, s) for j in range(1, len(w) + 1)]
+    else:
+        tables, width = _deck_tables(k), pattern_count(k) + 1
+
+        def counts(prefix):
+            return [1] + list(signature_counts_naive(prefix, GapParams(s, k)))
+    with _moduli_used(toy):
+        mods = _moduli(len(x), s, k)
+    primes = [None] if mods is None else mods[:, 0].tolist()
+
+    def rows(prefix):
+        return [[n if p is None else n % p for n in counts(prefix)] for p in primes]
+
+    if stacked:
+        y = x[1:]
+        start = [rows(()) * 2] * s + [rows(x[:1]) + rows(())]
+        ring = _run_pass(y, s, tables, width, mods, [np.array(r, dtype=np.uint64) for r in start])
+        want = [rows(x[: max(t + 1, 0)]) + rows(y[: max(t, 0)]) for t in range(len(y) - s, len(y) + 1)]
+    else:
+        ring = _run_pass(x, s, tables, width, mods)
+        want = [rows(x[: max(t, 0)]) for t in range(len(x) - s, len(x) + 1)]
+    assert len(ring) == s + 1
+    assert [state.tolist() for state in ring] == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=14).map(tuple), st.integers(1, 4),
        st.integers(1, 5), st.booleans())
