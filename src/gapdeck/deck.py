@@ -16,8 +16,10 @@ update tables of _deck_tables are two strided slices: the columns ending in c
 are 1+c, 3+c, ..., the children of the narrow columns 0 .. 2^k - 2 (the root
 and the patterns shorter than k), and only those are ever read back. The one
 other trie is count_gapped's single pattern w, a chain whose column j is
-w[:j]. _run_pass runs the recurrence over one string in (rows, width) uint64
-states: one row of exact counts, or one row per prime, reduced by a
+w[:j]. Each of the two gives _run_pass its split of a state by last letter:
+_heap_split, in closed form from the tables at depths k and k-1, and
+_chain_split. _run_pass runs the recurrence over one string in (rows, width)
+uint64 states: one row of exact counts, or one row per prime, reduced by a
 conditional subtract against the moduli tiled to the update's shape once per
 pass. It holds the state split by last letter, so each letter adds into one
 contiguous array in place and copies only the narrow columns into the ring
@@ -41,7 +43,6 @@ the Chinese remainder of a count's residues is the count itself.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -113,7 +114,7 @@ def _deck_tables(k: int) -> list:
     The columns are the empty prefix, then the patterns in canonical order: a
     binary heap, in which the columns ending in letter c are 1+c, 3+c, ...
     and their parents 0, 1, ..., 2^k - 2. Plain slices, so _run_pass's split
-    of a state by them (_heap_split) is one per width.
+    of a state by them (_heap_split) is one per depth.
     """
     width = pattern_count(k) + 1
     return [(slice(1 + c, width, 2), slice(0, (1 << k) - 1)) for c in (0, 1)]
@@ -155,47 +156,31 @@ def _exact(res, mods) -> list:
     return [sum(c * r for c, r in zip(coef, col)) % m for col in zip(*res.tolist())]
 
 
-def _letter_split(tables, width: int, ndim: int) -> tuple:
-    """How _run_pass splits a trie's state by last letter, as index keys for
-    states of ndim dimensions: the key of the narrow columns, 0 up to the
-    last parent column (no column past them is ever read back), and per
-    letter (dst, src, put, head, size). dst and src are the table's columns
-    ending in the letter and their parents; the first dst columns are
-    narrow, and put and head are where those sit in a narrow state and in
-    the letter's own contiguous array of size columns. Each dst is
-    ascending, so the narrow ones come first; a slice dst gives a slice
-    put."""
-    def key(ix):
-        return ix if ndim == 1 else (slice(None), ix)
-
-    def columns(ix):  # a range for a slice, else a list
-        return range(width)[ix] if isinstance(ix, slice) else ix.tolist()
-
-    narrow = 1 + max(max(columns(src), default=0) for _, src in tables)
-    letters = []
-    for dst, src in tables:
-        cols = columns(dst)
-        cut = bisect.bisect_left(cols, narrow)
-        put = cols[:cut]
-        put = slice(put.start, put.stop, put.step) if isinstance(put, range) else dst[:cut]
-        letters.append((key(dst), key(src), key(put), key(slice(cut)), len(cols)))
-    return key(slice(narrow)), letters
+@functools.cache  # every pass at a depth takes the same split
+def _heap_split(k: int) -> tuple:
+    """How _run_pass splits a state of _deck_tables's heap at depth k by last
+    letter: (width, narrow, per letter (dst, src, put, head, size)). narrow
+    keys the root and the patterns shorter than k, the only columns read
+    back; dst and src are the letter's columns and their parents; put and
+    head key the narrow ones among them, in a narrow state (the depth-(k-1)
+    heap's dst) and in the letter's own contiguous array of size columns.
+    (..., ix) keys, so that one split serves states of one and of many rows.
+    """
+    narrow = (1 << k) - 1
+    letters = [((..., dst), (..., src), (..., put), (..., slice((1 << (k - 1)) - 1)), narrow)
+               for (dst, src), (put, _) in zip(_deck_tables(k), _deck_tables(k - 1))]
+    return 2 * narrow + 1, (..., slice(narrow)), letters
 
 
-@functools.cache  # every pass at a width takes the same heap split
-def _heap_split(width: int, ndim: int) -> tuple:
-    """_letter_split of _deck_tables's heap of the given width, 2^(k+1) - 1."""
-    return _letter_split(_deck_tables(width.bit_length() - 1), width, ndim)
-
-
-def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
+def _run_pass(x, s: int, split, mods=None, ring=None):
     """The ring of the last s+1 states of one pass over x: the counts of
     every trie column after x[:len(x)-s], ..., x[:-1] and x (ring[-1]), with
     the root standing in for a prefix shorter than the empty one.
 
-    x holds letter indices into tables. A state is a (rows, width) uint64
-    array whose column 0 is the pinned empty prefix; the letter at position i
-    adds the state as of position i-s, ring[1] when it is read.
+    x holds letter indices into split, the trie's _heap_split or _chain_split
+    (keyed for the states' ndim), which gives the width. A state is a (rows,
+    width) uint64 array whose column 0 is the pinned empty prefix; the letter
+    at position i adds the state as of position i-s, ring[1] when it is read.
     Without mods there is one row of exact counts (callers take mods from
     _moduli). With mods, _moduli's column, there is one row per modulus, reduced
     by the exact conditional subtract min(v, v - p): residues lie below
@@ -204,16 +189,15 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     states of any stack of such row blocks (with mods, blocks of one row per
     modulus), every block reading the same letters; a pass's own ring
     continues it.
-    The pass holds the state split by last letter (_letter_split; slice
-    tables are _deck_tables's heap, whose split is built once per width):
-    the columns ending in letter c are one contiguous array, taken from the
-    start state when c first occurs and then updated in place. Only the
-    narrow columns, the parents, are read back s letters later, so the ring
-    holds narrow snapshots: each letter copies the last one, in the buffer
-    of the one no longer read, and writes the narrow part of its columns into
-    it. The last s+1 letters append full heap-ordered states instead, the
-    ones returned: the first is assembled from the split state, each later
-    one is a copy of the one before with the letter's columns written.
+    The pass holds the state split by last letter: the columns ending in
+    letter c are one contiguous array, taken from the start state when c
+    first occurs and then updated in place. Only the narrow columns, the
+    parents, are read back s letters later, so the ring holds narrow
+    snapshots: each letter copies the last one, in the buffer of the one no
+    longer read, and writes the narrow part of its columns into it. The last
+    s+1 letters append full states in column order instead, the ones
+    returned: the first is assembled from the split state, each later one is
+    a copy of the one before with the letter's columns written.
     The moduli are tiled once per pass to the shape of an update, and a pass
     of one exact row from the root keeps 1-D arrays, as (1, width) slicing
     costs each numpy call more; its ring is returned as (1, width) views all
@@ -224,6 +208,7 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     raises MemoryError up front, since a lazily granted allocation would get
     the process killed instead.
     """
+    width, narrow, letters = split
     rows = len(ring[-1]) if ring is not None else 1 if mods is None else len(mods)
     need = 8 * rows * width * (min(len(x), s) + 3)
     if need > _PHYSICAL_BYTES:
@@ -239,19 +224,17 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
     ring = deque(ring, s + 1)  # states after i-s .. i letters: narrow, then full
     acc = ring[-1]
     if len(x):
-        narrow, letters = _heap_split(width, acc.ndim) if isinstance(tables[0][0], slice) \
-            else _letter_split(tables, width, acc.ndim)
         if mods is not None:
             tile = np.tile(mods, (rows // len(mods), max(t[-1] for t in letters)))
             tmp = np.empty_like(tile)
             lims = [(tile[:, :t[-1]], tmp[:, :t[-1]]) for t in letters]
-        split, heads = [None] * len(letters), [None] * len(letters)
+        parts, heads = [None] * len(letters), [None] * len(letters)
     tail = len(x) - s - 1  # the letter that appends the first state returned
     for i, c in enumerate(x):
         dst, src, put, head, _ = letters[c]
-        part = split[c]
+        part = parts[c]
         if part is None:  # the letter's first: its columns from the start state
-            part = split[c] = acc[dst] + ring[1][src]
+            part = parts[c] = acc[dst] + ring[1][src]
             heads[c] = part[head] if i < tail else None
         else:
             part += ring[1][src]
@@ -269,8 +252,8 @@ def _run_pass(x, s: int, tables, width: int, mods=None, ring=None):
             ring.append(snap)
         else:
             acc = acc.copy()
-            if i == tail and i:  # the split state, in heap order
-                for t, p in zip(letters, split):
+            if i == tail and i:  # the split state, in column order
+                for t, p in zip(letters, parts):
                     if p is not None:
                         acc[t[0]] = p
             else:
@@ -295,7 +278,7 @@ def _punctured_counts(x: tuple, s: int, k: int) -> tuple:
     root[:, 0] = 1
     first = root.copy()
     first[:rows, 1 + pattern_index(x[:1])] = 1
-    ring = _run_pass(x[1:], s, _deck_tables(k), width, mods, [root] * s + [first])
+    ring = _run_pass(x[1:], s, _heap_split(k), mods, [root] * s + [first])
     (plain, left), (right, both) = (np.split(c[:, 1:], 2) for c in (ring[-1], ring[-2]))
     return plain, left, right, both
 
@@ -327,11 +310,26 @@ def count_gapped(w: tuple, x: tuple, s: int) -> int:
     _check_params((s, len(w)))
     w = tuple(w)
     mods = _moduli(len(x), s, len(w))
-    # the trie of one pattern is a chain: column j is w[:j], and letter c
-    # adds column j-1 to column j wherever w[j-1] == c
-    dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
-    ring = _run_pass(x, s, [(d, d - 1) for d in dst], len(w) + 1, mods)
+    ring = _run_pass(x, s, _chain_split(w, 1 if mods is None else 2), mods)
     return _exact(ring[-1][:, -1:], mods)[0]
+
+
+def _chain_split(w: tuple, ndim: int) -> tuple:
+    """_run_pass's split of the trie of one pattern w, for states of ndim
+    dimensions: a chain whose column j is w[:j], where letter c adds column
+    j-1 to column j wherever w[j-1] == c. Only the last column is never read
+    back. Plain keys per ndim: numpy indexes an array behind an Ellipsis on
+    its slow path."""
+    def key(ix):
+        return ix if ndim == 1 else (slice(None), ix)
+
+    letters = []
+    for c in (0, 1):
+        src = np.array([j for j, b in enumerate(w) if b == c], np.intp)
+        dst = src + 1
+        put = dst[: len(dst) - (w[-1] == c)]  # all but column len(w)
+        letters.append((key(dst), key(src), key(put), key(slice(len(put))), len(dst)))
+    return len(w) + 1, key(slice(len(w))), letters
 
 
 def signature(x: tuple, params: GapParams, mode: str = "exact") -> DeckSignature:
@@ -341,7 +339,7 @@ def signature(x: tuple, params: GapParams, mode: str = "exact") -> DeckSignature
     """
     s, k = _check_params(params)
     mods = _moduli(len(x), s, k)
-    res = _run_pass(x, s, _deck_tables(k), pattern_count(k) + 1, mods)[-1][:, 1:]
+    res = _run_pass(x, s, _heap_split(k), mods)[-1][:, 1:]
     return DeckSignature(GapParams(s, k), tuple(_exact(res, mods)))
 
 

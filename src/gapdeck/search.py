@@ -82,6 +82,7 @@ from gapdeck.deck import (
     GapParams,
     _check_params,
     _deck_tables,
+    _heap_split,
     _punctured_counts,
     _run_pass,
     pattern_count,
@@ -206,7 +207,6 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None, out=None) -> np
     size = hi - lo
     if lo < 0 or size < 1 or size & (size - 1) or lo % size or hi > 1 << n:
         raise ValueError(f"code range {lo}:{hi} is not an aligned block of 2^{n}")
-    tables, width = _deck_tables(k), pattern_count(k) + 1
     narrow = (1 << k) - 1  # the root and the patterns shorter than k
     m = max(n - s, 0)
     bits = min(_LEAF_BITS, (_LEAF_CELLS // narrow).bit_length() - 1)  # a chunk's codes
@@ -222,7 +222,7 @@ def _tree_hashes(n, s, k, lo, hi, leaf_lanes, parent_lanes=None, out=None) -> np
     levels = [None] * (s + max(m - depth, 1))  # a chunk's levels depth-s .. max(m-1, depth)
     for start in range(base, hi, span):
         top = [(start >> (n - 1 - i)) & 1 for i in range(depth)]
-        ring = _run_pass(top, s, tables, width)  # levels depth-s .. depth
+        ring = _run_pass(top, s, _heap_split(k))  # levels depth-s .. depth
         part = ring[-1][:, 1:] @ lanes  # column 0, the pinned root, carries no lane
         levels[: s + 1] = (state[0, :narrow, None] for state in ring)
         for i in range(depth, n):

@@ -13,7 +13,9 @@ from gapdeck.deck import (
     DEFAULT_FINGERPRINT_PRIMES,
     DeckSignature,
     GapParams,
+    _chain_split,
     _deck_tables,
+    _heap_split,
     _moduli,
     _punctured_counts,
     _run_pass,
@@ -89,6 +91,61 @@ def test_deck_tables_are_the_heap_order_of_the_patterns():
             assert columns[dst].tolist() == [pattern_index(w) + 1 for w in ends]
             assert columns[src].tolist() == [pattern_index(w[:-1]) + 1 if len(w) > 1 else 0
                                              for w in ends]
+
+
+def _selects(split, ndim, column, want_width):
+    """Checks split's keys against a layout on states of one row (ndim 1) or
+    two (ndim 2) holding their own column numbers: the narrow columns are
+    those of the prefixes shorter than the longest, and letter c's dst the
+    columns of the prefixes ending in c, src their parents', and put (in a
+    narrow state) and head (in the letter's array) the narrow ones of dst."""
+    width, narrow, letters = split
+    assert width == want_width
+    state = np.arange(width) if ndim == 1 else np.tile(np.arange(width), (2, 1))
+
+    def rows(cols):
+        return [cols] * (1 if ndim == 1 else 2)
+
+    def got(a):
+        assert a.ndim == ndim
+        return np.atleast_2d(a).tolist()
+
+    longest = max(map(len, column))
+    short = sorted(column[w] for w in column if len(w) < longest)
+    assert got(state[narrow]) == rows(short)
+    for c, (dst, src, put, head, size) in enumerate(letters):
+        ends = sorted((column[w], column[w[:-1]], len(w) < longest) for w in column if w[-1:] == (c,))
+        assert size == len(ends)
+        assert got(state[dst]) == rows([e[0] for e in ends])
+        assert got(state[src]) == rows([e[1] for e in ends])
+        kept = rows([e[0] for e in ends if e[2]])
+        assert got(state[narrow][put]) == got(state[dst][head]) == kept
+
+
+def test_heap_split_selects_the_heap_columns_of_the_patterns():
+    # from the layout's definition, not from _deck_tables: pattern w at
+    # column pattern_index(w) + 1, the empty prefix at 0; one split serves
+    # states of one row and of many
+    for k in range(1, 13):
+        column = {(): 0, **{w: pattern_index(w) + 1 for w in patterns_upto(k)}}
+        for ndim in (1, 2):
+            _selects(_heap_split(k), ndim, column, pattern_count(k) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=16).map(tuple))
+def test_chain_split_selects_the_prefixes_of_the_pattern(w):
+    # count_gapped's trie of one pattern w: column j holds the prefix w[:j]
+    column = {w[:j]: j for j in range(len(w) + 1)}
+    for ndim in (1, 2):
+        _selects(_chain_split(w, ndim), ndim, column, len(w) + 1)
+
+
+def test_count_gapped_runs_past_any_heap():
+    # a pattern of length 30 is a 31-column chain, where a depth-30 heap
+    # would take 2^31 columns; C(142, 30) needs two primes, so the chain's
+    # 2-D keys run
+    assert count_gapped((1,) * 30, (1,) * 200, 3) == slice_bound(200, 3, 30)
 
 
 def test_enumerate_deck_worked_example():
@@ -344,11 +401,11 @@ def test_run_pass_continues_from_a_start_ring(x, s, k, n, data):
     # a pass's ring is the state a later pass starts from: splitting x at any
     # j and continuing from the first part's ring gives the same s+1 states,
     # on the rows the guard takes for x or for a length n (up to 3 primes)
-    tables, width, mods = _deck_tables(k), pattern_count(k) + 1, _moduli(max(n, len(x)), s, k)
-    whole = [state.tolist() for state in _run_pass(x, s, tables, width, mods)]
+    split, mods = _heap_split(k), _moduli(max(n, len(x)), s, k)
+    whole = [state.tolist() for state in _run_pass(x, s, split, mods)]
     j = data.draw(st.integers(0, len(x)))
-    ring = _run_pass(x[:j], s, tables, width, mods)
-    assert [state.tolist() for state in _run_pass(x[j:], s, tables, width, mods, ring)] == whole
+    ring = _run_pass(x[:j], s, split, mods)
+    assert [state.tolist() for state in _run_pass(x[j:], s, split, mods, ring)] == whole
 
 
 @settings(max_examples=150, deadline=None)
@@ -367,14 +424,10 @@ def test_every_ring_state_is_the_naive_count_of_its_prefix(x, s, k, toy, stacked
     # ring (y = x[1:], whose blocks run on x and on x[1:])
     if chain:
         w = tuple(rnd.getrandbits(1) for _ in range(rnd.randint(1, k)))
-        dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
-        tables, width = [(d, d - 1) for d in dst], len(w) + 1
 
         def counts(prefix):
             return [1] + [count_gapped_naive(w[:j], prefix, s) for j in range(1, len(w) + 1)]
     else:
-        tables, width = _deck_tables(k), pattern_count(k) + 1
-
         def counts(prefix):
             return [1] + list(signature_counts_naive(prefix, GapParams(s, k)))
     with _moduli_used(toy):
@@ -384,13 +437,15 @@ def test_every_ring_state_is_the_naive_count_of_its_prefix(x, s, k, toy, stacked
     def rows(prefix):
         return [[n if p is None else n % p for n in counts(prefix)] for p in primes]
 
+    # the chain's keys are per ndim: 1-D for one exact row from the root
+    split = _chain_split(w, 2 if stacked or mods is not None else 1) if chain else _heap_split(k)
     if stacked:
         y = x[1:]
         start = [rows(()) * 2] * s + [rows(x[:1]) + rows(())]
-        ring = _run_pass(y, s, tables, width, mods, [np.array(r, dtype=np.uint64) for r in start])
+        ring = _run_pass(y, s, split, mods, [np.array(r, dtype=np.uint64) for r in start])
         want = [rows(x[: max(t + 1, 0)]) + rows(y[: max(t, 0)]) for t in range(len(y) - s, len(y) + 1)]
     else:
-        ring = _run_pass(x, s, tables, width, mods)
+        ring = _run_pass(x, s, split, mods)
         want = [rows(x[: max(t, 0)]) for t in range(len(x) - s, len(x) + 1)]
     assert len(ring) == s + 1
     assert [state.tolist() for state in ring] == want
@@ -420,15 +475,14 @@ def test_stacked_pass_gives_the_four_punctured_decks(x, s, k, toy):
 
 def test_single_exact_pass_returns_row_states():
     # one exact row from the root runs on a 1-D state, but its ring holds
-    # (1, width) states like every other pass, on the deck's slice tables and
-    # on count_gapped's index-array chain tables alike
+    # (1, width) states like every other pass, on the deck's heap split and
+    # on count_gapped's chain split alike
     x = (0, 1, 1, 0, 1, 0, 0, 1, 1)
     for s in (1, 2, 3):
-        ring = _run_pass(x, s, _deck_tables(3), pattern_count(3) + 1)
+        ring = _run_pass(x, s, _heap_split(3))
         assert len(ring) == s + 1 and {state.shape for state in ring} == {(1, 15)}
         w = (1, 0, 1)
-        dst = [1 + np.flatnonzero(np.asarray(w) == c) for c in (0, 1)]
-        chain = _run_pass(x, s, [(d, d - 1) for d in dst], len(w) + 1)
+        chain = _run_pass(x, s, _chain_split(w, 1))
         assert {state.shape for state in chain} == {(1, 4)}
         assert chain[-1][0].tolist() == [1] + [count_gapped_naive(w[:j], x, s) for j in (1, 2, 3)]
 

@@ -19,6 +19,7 @@ from gapdeck.bounds import MINIMA
 from gapdeck.deck import (
     GapParams,
     _deck_tables,
+    _heap_split,
     _run_pass,
     deck_equal,
     exact_deck_equal,
@@ -984,13 +985,13 @@ def _check_levels(outputs, n, s, k, lo, hi, lanes, per_level=None):
             rows = range(1 << ell)
             for r in rows if per_level is None else rnd.sample(rows, min(per_level, len(rows))):
                 prefix = top + [(r >> t) & 1 for t in range(ell)]
-                ring = _run_pass(prefix, s, _deck_tables(k), pattern_count(k) + 1)
+                ring = _run_pass(prefix, s, _heap_split(k))
                 assert level[:, r].tolist() == ring[-1][0, :narrow].tolist(), (n, s, k, start, ell, r)
 
         def level(i):  # the chunk's level i: grown, or the state of its top bits' prefix
             if i > depth:
                 return chunk[i - depth - 1]
-            ring = _run_pass(top[: max(i, 0)], s, _deck_tables(k), pattern_count(k) + 1)
+            ring = _run_pass(top[: max(i, 0)], s, _heap_split(k))
             return ring[-1][0, :narrow, None]
 
         grown_m = _extend(level(m - 1), level(m - s), _deck_tables(k - 1))
